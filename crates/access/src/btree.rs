@@ -1258,10 +1258,7 @@ impl BTreeFile {
             hi: hi.to_vec(),
             buffered: std::collections::VecDeque::new(),
             done: false,
-            readahead: 0,
-            ra_cur: 0,
-            ra_horizon: 0,
-            ra_end: self.ra_end.get(),
+            readahead: Readahead::new(&self.pool, 0, self.ra_end.get()),
         })
     }
 
@@ -1275,10 +1272,143 @@ impl BTreeFile {
             hi: vec![0xFFu8; self.key_len],
             buffered: std::collections::VecDeque::new(),
             done: false,
-            readahead: 0,
-            ra_cur: 0,
-            ra_horizon: 0,
-            ra_end: self.ra_end.get(),
+            readahead: Readahead::new(&self.pool, 0, self.ra_end.get()),
+        }
+    }
+
+    /// Merge join: look up every key of the ascending (possibly
+    /// duplicated) stream `keys` by co-scanning the leaf chain, calling `f`
+    /// with the value of each key that is present — once per occurrence,
+    /// like the paper's `person.OID = temp.OID` join against a `temp` that
+    /// may hold duplicates.
+    ///
+    /// Each leaf is copied into one reused page buffer and unpinned before
+    /// its entries are compared, so a lookup allocates nothing per entry.
+    /// Keys are pulled lazily and leaves are read only when the cursor
+    /// must pass the last entry of the current one: the interleaving of
+    /// key pulls (which may read sort-run pages through the same pool)
+    /// and leaf reads is exactly that of a merge of `keys` against
+    /// [`Self::scan_all`]. The join stops, without pulling further keys,
+    /// once the leaves are exhausted. `readahead` is the window of
+    /// [`BTreeRange::with_readahead`].
+    pub fn merge_lookup<K: AsRef<[u8]>>(
+        &self,
+        keys: impl IntoIterator<Item = K>,
+        readahead: usize,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), AccessError> {
+        let mut leaves = LeafCursor {
+            pool: &self.pool,
+            page: Box::new([0u8; PAGE_SIZE]),
+            count: 0,
+            pos: 0,
+            next_leaf: self.first_leaf.get(),
+            readahead: Readahead::new(&self.pool, readahead, self.ra_end.get()),
+        };
+        let kl = self.key_len;
+        let mut current = None;
+        for key in keys {
+            let key = key.as_ref();
+            loop {
+                let Some(i) = current else {
+                    current = leaves.advance()?;
+                    if current.is_none() {
+                        return Ok(());
+                    }
+                    continue;
+                };
+                match node::entry_key(&leaves.page[..], i, kl).cmp(key) {
+                    std::cmp::Ordering::Less => current = leaves.advance()?,
+                    std::cmp::Ordering::Equal => {
+                        f(node::entry_val(&leaves.page[..], i, kl));
+                        break;
+                    }
+                    std::cmp::Ordering::Greater => break,
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The leaf side of [`BTreeFile::merge_lookup`]: a copy of the current
+/// leaf and the position of the next entry to hand out.
+struct LeafCursor<'a> {
+    pool: &'a BufferPool,
+    page: Box<[u8; PAGE_SIZE]>,
+    count: usize,
+    pos: usize,
+    next_leaf: PageId,
+    readahead: Readahead,
+}
+
+impl LeafCursor<'_> {
+    /// Index in `page` of the next entry in key order, reading (and
+    /// copying) the next non-empty leaf when the current one is used up;
+    /// `None` past the last leaf.
+    fn advance(&mut self) -> Result<Option<usize>, AccessError> {
+        loop {
+            if self.pos < self.count {
+                self.pos += 1;
+                return Ok(Some(self.pos - 1));
+            }
+            if self.next_leaf == NO_PAGE {
+                return Ok(None);
+            }
+            let leaf = self.next_leaf;
+            self.readahead.before_leaf(self.pool, leaf);
+            let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
+            heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
+            let page = &mut self.page;
+            self.next_leaf = self.pool.read(leaf, |p| {
+                page.copy_from_slice(p.bytes());
+                node::next(p.bytes())
+            })?;
+            self.count = node::count(&self.page[..]);
+            self.pos = 0;
+        }
+    }
+}
+
+/// Sequential leaf readahead shared by [`BTreeRange`] and
+/// [`BTreeFile::merge_lookup`] (see [`BTreeRange::with_readahead`]).
+struct Readahead {
+    /// Full window in pages; 0 disables readahead.
+    window: usize,
+    /// Size of the next prefetch while the window ramps up.
+    cur: usize,
+    /// First leaf not yet covered by a prefetch.
+    horizon: PageId,
+    /// Last leaf of the tree's consecutive bulk-loaded run, or `NO_PAGE`.
+    end: PageId,
+}
+
+impl Readahead {
+    fn new(pool: &BufferPool, window: usize, end: PageId) -> Self {
+        let cur = if pool.queue_depth() > 1 {
+            window
+        } else {
+            window.min(4)
+        };
+        Readahead {
+            window,
+            cur,
+            horizon: 0,
+            end,
+        }
+    }
+
+    /// Prefetch ahead of `leaf` if the scan has reached the horizon.
+    fn before_leaf(&mut self, pool: &BufferPool, leaf: PageId) {
+        if self.window > 0 && leaf >= self.horizon && self.end != NO_PAGE && leaf <= self.end {
+            let stop = leaf
+                .saturating_add(self.cur as PageId)
+                .min(self.end.saturating_add(1));
+            let window: Vec<PageId> = (leaf..stop).collect();
+            // Best-effort hint: failures never affect the scan itself.
+            let _ = pool.prefetch(&window);
+            self.horizon = stop;
+            self.cur = (self.cur * 2).min(self.window);
         }
     }
 }
@@ -1292,10 +1422,7 @@ pub struct BTreeRange {
     hi: Vec<u8>,
     buffered: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
     done: bool,
-    readahead: usize,
-    ra_cur: usize,
-    ra_horizon: PageId,
-    ra_end: PageId,
+    readahead: Readahead,
 }
 
 impl BTreeRange {
@@ -1317,12 +1444,7 @@ impl BTreeRange {
     /// speculative pages overlap with the scan instead of blocking it,
     /// so eagerness costs latency nothing and keeps the queue fed.
     pub fn with_readahead(mut self, window: usize) -> Self {
-        self.readahead = window;
-        self.ra_cur = if self.pool.queue_depth() > 1 {
-            window
-        } else {
-            window.min(4)
-        };
+        self.readahead = Readahead::new(&self.pool, window, self.readahead.end);
         self
     }
 }
@@ -1339,20 +1461,7 @@ impl Iterator for BTreeRange {
                 return None;
             }
             let leaf = self.next_leaf;
-            if self.readahead > 0
-                && leaf >= self.ra_horizon
-                && self.ra_end != NO_PAGE
-                && leaf <= self.ra_end
-            {
-                let stop = leaf
-                    .saturating_add(self.ra_cur as PageId)
-                    .min(self.ra_end.saturating_add(1));
-                let window: Vec<PageId> = (leaf..stop).collect();
-                // Best-effort hint: failures never affect the scan itself.
-                let _ = self.pool.prefetch(&window);
-                self.ra_horizon = stop;
-                self.ra_cur = (self.ra_cur * 2).min(self.readahead);
-            }
+            self.readahead.before_leaf(&self.pool, leaf);
             let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
             heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
             let (entries, next, past_hi) = self
@@ -1804,5 +1913,158 @@ mod tests {
             .with_readahead(4)
             .collect();
         assert_eq!(r1, r2);
+    }
+
+    /// The streaming merge join BFS ran before [`BTreeFile::merge_lookup`]:
+    /// a sorted (possibly duplicated) left key stream against a sorted
+    /// stream of unique `(key, value)` entries, one output per matching
+    /// left key. Kept as the oracle for `merge_lookup`.
+    struct MergeJoin<L, R> {
+        left: L,
+        right: R,
+        current: Option<(Vec<u8>, Vec<u8>)>,
+    }
+
+    fn merge_join<L, R>(left: L, right: R) -> MergeJoin<L, R> {
+        MergeJoin {
+            left,
+            right,
+            current: None,
+        }
+    }
+
+    impl<L, R> Iterator for MergeJoin<L, R>
+    where
+        L: Iterator<Item = Vec<u8>>,
+        R: Iterator<Item = (Vec<u8>, Vec<u8>)>,
+    {
+        type Item = (Vec<u8>, Vec<u8>);
+
+        fn next(&mut self) -> Option<Self::Item> {
+            loop {
+                let key = self.left.next()?;
+                loop {
+                    match &self.current {
+                        Some((ck, _)) if ck.as_slice() < key.as_slice() => {
+                            self.current = self.right.next();
+                        }
+                        Some((ck, cv)) if ck.as_slice() == key.as_slice() => {
+                            return Some((key, cv.clone()));
+                        }
+                        Some(_) => break,
+                        None => {
+                            self.current = Some(self.right.next()?);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_lookup_matches_merge_join_values_and_io() {
+        use crate::external_sort;
+        use cor_pagestore::ReplacementPolicy;
+
+        // Even keys only, so odd lookups miss inside the leaf range.
+        let rig = |policy: ReplacementPolicy, frames: usize| {
+            let p = Arc::new(
+                BufferPool::builder()
+                    .capacity(frames)
+                    .policy(policy)
+                    .build(),
+            );
+            let entries: Vec<_> = (0..1500u64)
+                .step_by(2)
+                .map(|k| {
+                    (
+                        key8(k),
+                        format!("value-{k:06}-{}", "x".repeat(40)).into_bytes(),
+                    )
+                })
+                .collect();
+            let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
+            p.flush_and_clear().unwrap();
+            (p, t)
+        };
+        let mut scrambled = 7u64;
+        let random: Vec<Vec<u8>> = (0..3000)
+            .map(|_| {
+                scrambled = scrambled
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                key8((scrambled >> 33) % 1600)
+            })
+            .collect();
+        let sorted = |keys: &[u64]| keys.iter().map(|&k| key8(k)).collect::<Vec<_>>();
+        // (name, key input, sort work memory): a small budget spills runs
+        // that are read back through the same pool while leaves stream.
+        let cases: Vec<(&str, Vec<Vec<u8>>, usize)> = vec![
+            (
+                "duplicates",
+                sorted(&[0, 0, 2, 2, 2, 3, 700, 700, 1498, 1498]),
+                usize::MAX,
+            ),
+            (
+                "past_last_leaf",
+                sorted(&[4, 1400, 1499, 1500, 1600, 9000]),
+                usize::MAX,
+            ),
+            ("empty", Vec::new(), usize::MAX),
+            ("in_memory", random.clone(), usize::MAX),
+            ("spilled", random, 8192),
+        ];
+        for policy in ReplacementPolicy::ALL {
+            for frames in 4..=8 {
+                for readahead in [0, 4] {
+                    for (name, input, work_mem) in &cases {
+                        let ctx = format!("{policy:?} frames={frames} ra={readahead} {name}");
+
+                        let (p, t) = rig(policy, frames);
+                        let keys =
+                            external_sort(&p, input.clone().into_iter(), *work_mem, false).unwrap();
+                        let want: Vec<Vec<u8>> =
+                            merge_join(keys, t.scan_all().with_readahead(readahead))
+                                .map(|(_, v)| v)
+                                .collect();
+                        let want_io = (
+                            p.stats().reads(),
+                            p.stats().writes(),
+                            p.stats().prefetch_issued(),
+                        );
+
+                        let (p, t) = rig(policy, frames);
+                        let keys =
+                            external_sort(&p, input.clone().into_iter(), *work_mem, false).unwrap();
+                        let mut got = Vec::new();
+                        t.merge_lookup(keys, readahead, |v| got.push(v.to_vec()))
+                            .unwrap();
+                        let got_io = (
+                            p.stats().reads(),
+                            p.stats().writes(),
+                            p.stats().prefetch_issued(),
+                        );
+
+                        assert_eq!(got, want, "{ctx}: values");
+                        assert_eq!(got_io, want_io, "{ctx}: reads, writes, prefetches");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_lookup_reports_each_matching_occurrence() {
+        let t = BTreeFile::bulk_load(
+            pool(8),
+            8,
+            [1u64, 2, 3, 5, 8].map(|k| (key8(k), format!("v{k}").into_bytes())),
+            DEFAULT_FILL,
+        )
+        .unwrap();
+        let mut got = Vec::new();
+        let keys = [0u64, 3, 3, 3, 4, 5, 9].map(key8);
+        t.merge_lookup(keys, 0, |v| got.push(v.to_vec())).unwrap();
+        assert_eq!(got, [b"v3", b"v3", b"v3", b"v5"].map(|v| v.to_vec()));
     }
 }

@@ -6,7 +6,7 @@
 //! walk the chain in page order.
 
 use cor_pagestore::{BufferError, BufferPool, PageId, SlotId, NO_PAGE};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Physical address of a record: page + slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +49,9 @@ pub struct HeapFile {
     last: crate::sync_cell::SyncCell<PageId>,
     len: crate::sync_cell::SyncCell<u64>,
     pages: crate::sync_cell::SyncCell<u32>,
+    /// Pages this handle allocated, in chain order: what [`Self::destroy`]
+    /// discards. Empty for a handle reattached via [`Self::from_metadata`].
+    allocated: Mutex<Vec<PageId>>,
 }
 
 impl HeapFile {
@@ -62,6 +65,7 @@ impl HeapFile {
             last: crate::sync_cell::SyncCell::new(first),
             len: crate::sync_cell::SyncCell::new(0),
             pages: crate::sync_cell::SyncCell::new(1),
+            allocated: Mutex::new(vec![first]),
         })
     }
 
@@ -88,6 +92,7 @@ impl HeapFile {
             last: crate::sync_cell::SyncCell::new(meta.last),
             len: crate::sync_cell::SyncCell::new(meta.len),
             pages: crate::sync_cell::SyncCell::new(meta.pages),
+            allocated: Mutex::new(Vec::new()),
         }
     }
 
@@ -118,14 +123,56 @@ impl HeapFile {
         let fresh = self.pool.allocate_page()?;
         self.pool.write(fresh, |mut p| p.init())?;
         self.pool.write(tail, |mut p| p.set_next(fresh))?;
-        self.last.set(fresh);
-        self.pages.set(self.pages.get() + 1);
+        self.extended(fresh);
         let slot = self
             .pool
             .write(fresh, |mut p| p.insert(record))?
             .expect("fresh page must accept any record that fits a page");
         self.len.set(self.len.get() + 1);
         Ok(RecordId { page: fresh, slot })
+    }
+
+    /// Append every record, in order, filling each page in one pin.
+    ///
+    /// Leaves the same chain, page bytes and page I/O as a loop of
+    /// [`Self::append`]: the tail takes records until one does not fit,
+    /// then a fresh page is allocated, linked from the tail, and filled.
+    pub fn append_all<R: AsRef<[u8]>>(&self, records: &[R]) -> Result<(), BufferError> {
+        let mut rest = records;
+        let mut fresh = false;
+        while !rest.is_empty() {
+            let tail = self.last.get();
+            let placed = self.pool.write(tail, |mut p| {
+                if fresh {
+                    p.init();
+                }
+                p.insert_all(rest)
+            })?;
+            assert!(
+                placed > 0 || !fresh,
+                "fresh page must accept any record that fits a page"
+            );
+            self.len.set(self.len.get() + placed as u64);
+            rest = &rest[placed..];
+            if rest.is_empty() {
+                break;
+            }
+            let next = self.pool.allocate_page()?;
+            self.pool.write(tail, |mut p| p.set_next(next))?;
+            self.extended(next);
+            fresh = true;
+        }
+        Ok(())
+    }
+
+    /// Make `fresh`, already linked from the tail, the new tail.
+    fn extended(&self, fresh: PageId) {
+        self.last.set(fresh);
+        self.pages.set(self.pages.get() + 1);
+        self.allocated
+            .lock()
+            .expect("a panic while recording a page id leaves no partial state")
+            .push(fresh);
     }
 
     /// Fetch the record at `rid`.
@@ -159,6 +206,21 @@ impl HeapFile {
             self.pool.flush_page(page)?;
             let next = self.pool.read(page, |p| p.next())?;
             page = next;
+        }
+        Ok(())
+    }
+
+    /// Drop the file: discard every page this handle allocated from the
+    /// pool and the store ([`BufferPool::discard_page`]). Page ids are not
+    /// recycled. For temporaries whose contents are no longer needed —
+    /// a dirty page is dropped without its write-back.
+    pub fn destroy(self) -> Result<(), BufferError> {
+        let pages = self
+            .allocated
+            .into_inner()
+            .expect("a panic while recording a page id leaves no partial state");
+        for pid in pages {
+            self.pool.discard_page(pid)?;
         }
         Ok(())
     }
@@ -293,5 +355,110 @@ mod tests {
         let heap = HeapFile::create(pool(2)).unwrap();
         assert_eq!(heap.scan().count(), 0);
         assert!(heap.is_empty());
+    }
+
+    /// Every page of the chain, in order, as raw bytes.
+    fn chain_bytes(heap: &HeapFile) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut page = heap.metadata().first;
+        while page != NO_PAGE {
+            let (bytes, next) = heap
+                .pool()
+                .read(page, |p| (p.bytes().to_vec(), p.next()))
+                .unwrap();
+            out.push(bytes);
+            page = next;
+        }
+        out
+    }
+
+    #[test]
+    fn append_all_matches_an_append_loop_in_bytes_and_io() {
+        use cor_pagestore::ReplacementPolicy;
+        let mut k = 3u64;
+        let records: Vec<Vec<u8>> = (0..700)
+            .map(|i| {
+                k = k
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let len = if i % 50 == 0 {
+                    1500
+                } else {
+                    (k >> 40) as usize % 90
+                };
+                vec![i as u8; len]
+            })
+            .collect();
+        let (head, rest) = records.split_at(37);
+        for policy in ReplacementPolicy::ALL {
+            let run = |bulk: bool| {
+                let p = Arc::new(BufferPool::builder().capacity(4).policy(policy).build());
+                // Something resident beforehand, so the fill evicts.
+                let other = HeapFile::create(Arc::clone(&p)).unwrap();
+                other.append_all(&records[..200]).unwrap();
+                let heap = HeapFile::create(Arc::clone(&p)).unwrap();
+                for r in head {
+                    heap.append(r).unwrap();
+                }
+                if bulk {
+                    heap.append_all(rest).unwrap();
+                    heap.append_all(&[] as &[Vec<u8>]).unwrap();
+                } else {
+                    for r in rest {
+                        heap.append(r).unwrap();
+                    }
+                }
+                let io = (
+                    p.stats().reads(),
+                    p.stats().writes(),
+                    p.stats().allocations(),
+                );
+                (heap.metadata(), io, chain_bytes(&heap))
+            };
+            let (meta, io, bytes) = run(true);
+            assert_eq!(meta, run(false).0, "{policy:?}: chain metadata");
+            assert_eq!(io, run(false).1, "{policy:?}: reads, writes, allocations");
+            assert!(bytes == run(false).2, "{policy:?}: page bytes");
+            assert_eq!(meta.len, records.len() as u64);
+            assert!(meta.pages > 10);
+        }
+    }
+
+    #[test]
+    fn destroy_discards_pages_without_recycling_ids() {
+        use cor_pagestore::MemDisk;
+        let disk = Arc::new(MemDisk::new());
+        let p = Arc::new(
+            BufferPool::builder()
+                .capacity(8)
+                .disk(Box::new(Arc::clone(&disk)))
+                .build(),
+        );
+        let keep = HeapFile::create(Arc::clone(&p)).unwrap();
+        keep.append(b"kept").unwrap();
+        keep.flush().unwrap();
+        let live = disk.live_pages();
+
+        let temp = HeapFile::create(Arc::clone(&p)).unwrap();
+        temp.append_all(&vec![[9u8; 10]; 1000]).unwrap();
+        temp.flush().unwrap();
+        let pages = temp.num_pages() as usize;
+        assert!(pages > 1);
+        assert_eq!(disk.live_pages(), live + pages);
+        let allocated = p.num_pages();
+        let writes = p.stats().writes();
+
+        temp.destroy().unwrap();
+        assert_eq!(disk.live_pages(), live, "the store released the bytes");
+        assert_eq!(p.free_pages(), 0, "ids are not recycled");
+        assert_eq!(p.resident_pages(), 1, "only the kept file stays resident");
+        assert_eq!(p.stats().writes(), writes, "clean pages leave without I/O");
+        let next = HeapFile::create(Arc::clone(&p)).unwrap();
+        assert_eq!(
+            next.metadata().first,
+            allocated,
+            "a new file extends the store"
+        );
+        assert_eq!(keep.scan().count(), 1);
     }
 }

@@ -5,12 +5,12 @@
 //!
 //! * [`heap`] — heap files (the BFS temporaries and sort runs);
 //! * [`btree`] — B-trees on byte-comparable keys (`ParentRel`, `ChildRel`
-//!   and `ClusterRel` are all "structured as B-trees" in the paper);
+//!   and `ClusterRel` are all "structured as B-trees" in the paper), with
+//!   the BFS merge join as a sorted-key lookup over the leaf chain;
 //! * [`isam`] — the static ISAM index kept on `ClusterRel.OID`;
 //! * [`hash`] — static hash files (the `Cache` relation is "maintained as
 //!   a hash relation, hashed on hashkey");
 //! * [`sort`] — external merge sort feeding the BFS merge join;
-//! * [`join`] — merge join and iterative substitution;
 //! * [`record`] — the tuple ⇄ byte-record codec.
 
 #![warn(missing_docs)]
@@ -20,7 +20,6 @@ pub mod catalog;
 pub mod hash;
 pub mod heap;
 pub mod isam;
-pub mod join;
 pub mod record;
 pub mod scan;
 pub mod sort;
@@ -31,7 +30,6 @@ pub use catalog::{Catalog, CatalogError, FileMeta};
 pub use hash::{fnv1a64, HashFile, HashMeta};
 pub use heap::{HeapFile, HeapMeta, HeapScan, RecordId};
 pub use isam::IsamIndex;
-pub use join::{iterative_substitution, merge_join, MergeJoin};
 pub use record::{decode, encode, CodecError};
 pub use scan::{count_where, scan_where};
 pub use sort::{external_sort, SortedStream, DEFAULT_WORK_MEM};

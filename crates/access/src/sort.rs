@@ -58,9 +58,7 @@ pub fn external_sort(
             current.dedup();
         }
         let run = HeapFile::create(Arc::clone(pool))?;
-        for rec in current.iter() {
-            run.append(rec)?;
-        }
+        run.append_all(current)?;
         runs.push(run);
         current.clear();
         Ok(())

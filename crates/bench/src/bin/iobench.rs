@@ -105,6 +105,10 @@ impl DiskManager for SeekDisk {
     fn sync(&self) -> Result<(), DiskError> {
         self.inner.sync()
     }
+
+    fn discard_page(&self, id: PageId) -> Result<(), DiskError> {
+        self.inner.discard_page(id)
+    }
 }
 
 /// One (strategy, disk, mode) measurement.

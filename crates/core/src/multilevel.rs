@@ -23,7 +23,7 @@ use crate::database::{CorDatabase, PARENT_REL};
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::strategies::{self, ExecOptions};
 use crate::{CorError, Strategy};
-use cor_access::{external_sort, merge_join, HeapFile};
+use cor_access::{external_sort, HeapFile};
 use cor_relational::Oid;
 use std::sync::Arc;
 
@@ -154,9 +154,11 @@ pub fn bfs_multilevel(
         // probes).
         let next = &levels[level + 1];
         let temp = HeapFile::create(Arc::clone(next.pool()))?;
-        for oid in frontier.drain(..) {
-            temp.append(&Oid::new(PARENT_REL, oid.key).to_key_bytes())?;
-        }
+        let records: Vec<_> = frontier
+            .drain(..)
+            .map(|oid| Oid::new(PARENT_REL, oid.key).to_key_bytes())
+            .collect();
+        temp.append_all(&records)?;
         temp.flush()?;
         let sorted = external_sort(
             next.pool(),
@@ -169,22 +171,29 @@ pub fn bfs_multilevel(
         let n = temp.len();
         let iter_cost = tree.height() as u64 + n.saturating_sub(1);
         let merge_cost = tree.leaf_pages() as u64 + temp.num_pages() as u64;
-        let collect = |rec: Vec<u8>, frontier: &mut Vec<Oid>| -> Result<(), CorError> {
-            let t = cor_access::decode(&schema, &rec)?;
+        temp.destroy()?;
+        let collect = |rec: &[u8], frontier: &mut Vec<Oid>| -> Result<(), CorError> {
+            let t = cor_access::decode(&schema, rec)?;
             let children = t.get(5).as_oid_list().expect("children column");
             frontier.extend_from_slice(children);
             Ok(())
         };
         if merge_cost < iter_cost {
-            for (_key, rec) in merge_join(sorted, tree.scan_all()) {
-                collect(rec, &mut frontier)?;
+            let mut failed = None;
+            tree.merge_lookup(sorted, 0, |rec| {
+                if failed.is_none() {
+                    failed = collect(rec, &mut frontier).err();
+                }
+            })?;
+            if let Some(e) = failed {
+                return Err(e);
             }
         } else {
             for key in sorted {
                 let rec = tree.get(&key)?.ok_or_else(|| {
                     CorError::DanglingOid(Oid::from_key_bytes(&key).expect("oid key"))
                 })?;
-                collect(rec, &mut frontier)?;
+                collect(&rec, &mut frontier)?;
             }
         }
     }

@@ -21,7 +21,7 @@ use super::{ExecOptions, JoinChoice};
 use crate::database::CorDatabase;
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::CorError;
-use cor_access::{external_sort, merge_join, BTreeFile, HeapFile};
+use cor_access::{external_sort, BTreeFile, HeapFile};
 use cor_obs::{Phase, PhaseGuard};
 use cor_pagestore::PAGE_SIZE;
 use cor_relational::{Oid, RelId};
@@ -84,9 +84,8 @@ pub(crate) fn join_fetch(
     let temp = {
         let _phase = PhaseGuard::enter(Phase::TempBuild);
         let temp = HeapFile::create(Arc::clone(db.pool()))?;
-        for oid in oids {
-            temp.append(&oid.to_key_bytes())?;
-        }
+        let records: Vec<_> = oids.iter().map(Oid::to_key_bytes).collect();
+        temp.append_all(&records)?;
         temp.flush()?;
         temp
     };
@@ -102,7 +101,8 @@ pub(crate) fn join_fetch(
 
     if use_merge {
         // Reading the temp back and sorting it is sort work; run spills
-        // re-assert their own Sort bracket inside.
+        // re-assert their own Sort bracket inside. The sort consumes the
+        // whole temp before returning, so its pages can go right away.
         let sorted = {
             let _phase = PhaseGuard::enter(Phase::Sort);
             external_sort(
@@ -112,15 +112,15 @@ pub(crate) fn join_fetch(
                 dedup,
             )?
         };
+        temp.destroy()?;
         // The co-scan of the OID-ordered ChildRel leaves is the join
         // proper (sort-stream pulls retag themselves as Sort). With
         // readahead enabled the merge-run leaf pages are prefetched in
         // coalesced batches ahead of the scan cursor.
         let _phase = PhaseGuard::enter(Phase::MergeJoin);
-        let scan = tree.scan_all().with_readahead(opts.io.readahead);
-        for (_oid, rec) in merge_join(sorted, scan) {
-            values.push(extract_ret(&rec, attr));
-        }
+        tree.merge_lookup(sorted, opts.io.readahead, |rec| {
+            values.push(extract_ret(rec, attr));
+        })?;
     } else {
         // Iterative substitution: probe per temp record, "fetched exactly
         // as in DFS" — so leave the probes to the index-level default
@@ -135,9 +135,11 @@ pub(crate) fn join_fetch(
                     true,
                 )?
             };
+            temp.destroy()?;
             probe_all(tree, keys, attr, opts, values)?;
         } else {
             probe_all(tree, temp.scan().map(|(_, key)| key), attr, opts, values)?;
+            temp.destroy()?;
         }
     }
     Ok(())

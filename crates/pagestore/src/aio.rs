@@ -611,7 +611,7 @@ impl std::fmt::Debug for AioEngine {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod uring {
-    use super::{Job, RunSlot};
+    use super::Job;
     use crate::disk::{DiskError, DiskManager};
     use crate::page::{PageBuf, PAGE_SIZE};
     use crate::stats::IoStats;
@@ -780,7 +780,6 @@ mod uring {
         sq: Mapping,
         cq: Mapping,
         sqes: Mapping,
-        sq_head: *const AtomicU32,
         sq_tail: *const AtomicU32,
         sq_mask: u32,
         sq_array: *mut u32,
@@ -850,7 +849,6 @@ mod uring {
             let at = |m: &Mapping, off: u32| unsafe { m.ptr.add(off as usize) };
             let ring = Ring {
                 fd,
-                sq_head: at(&sq, params.sq_off.head) as *const AtomicU32,
                 sq_tail: at(&sq, params.sq_off.tail) as *const AtomicU32,
                 sq_mask: unsafe { *(at(&sq, params.sq_off.ring_mask) as *const u32) },
                 sq_array: at(&sq, params.sq_off.array) as *mut u32,

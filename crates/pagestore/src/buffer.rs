@@ -666,6 +666,21 @@ impl BufferPool {
         self.shard_of(pid).free_page(pid)
     }
 
+    /// Drop a page whose contents are no longer needed: its resident copy
+    /// (if any) is emptied in place without a write-back, and the store
+    /// may release its bytes ([`DiskManager::discard_page`]).
+    ///
+    /// Unlike [`Self::free_page`] the id is **not** recycled: a later
+    /// [`Self::allocate_page`] still extends the store, so page ids — and
+    /// the shard each is homed to — match a run that never discarded. The
+    /// emptied frame keeps its place in the replacement order, so victim
+    /// choice, and with it every later I/O count, is unchanged too.
+    pub fn discard_page(&self, pid: PageId) -> Result<(), BufferError> {
+        self.shard_of(pid).discard_page(pid)?;
+        self.disk.discard_page(pid)?;
+        Ok(())
+    }
+
     /// Number of pages currently on the free lists.
     pub fn free_pages(&self) -> usize {
         self.shards.iter().map(Shard::free_pages).sum()
@@ -1009,6 +1024,81 @@ mod tests {
         assert_eq!(p.free_pages(), 0);
         let zeroed = p.read(b, |pg| pg.bytes().iter().all(|&x| x == 0)).unwrap();
         assert!(zeroed, "recycled page must come back zeroed");
+    }
+
+    #[test]
+    fn discarded_page_keeps_victim_order_and_is_not_recycled() {
+        for policy in ReplacementPolicy::ALL {
+            let run = |discard: bool| {
+                let disk = Arc::new(MemDisk::new());
+                let p = BufferPool::builder()
+                    .capacity(4)
+                    .policy(policy)
+                    .disk(Box::new(Arc::clone(&disk)))
+                    .build();
+                let pids: Vec<PageId> = (0..10).map(|_| p.allocate_page().unwrap()).collect();
+                for &pid in &pids {
+                    p.write(pid, |mut pg| {
+                        pg.init();
+                        pg.insert(&pid.to_le_bytes()).unwrap();
+                    })
+                    .unwrap();
+                }
+                p.flush_and_clear().unwrap();
+                for &pid in &pids[..4] {
+                    p.read(pid, |_| ()).unwrap();
+                }
+                if discard {
+                    p.discard_page(pids[2]).unwrap();
+                    assert_eq!(disk.live_pages(), 9);
+                }
+                // Never touch the discarded page again: every later
+                // victim choice, and so every count, must match.
+                for &pid in pids[4..].iter().chain(&pids[..2]).chain(&pids[3..]) {
+                    p.read(pid, |_| ()).unwrap();
+                }
+                (
+                    p.stats().reads(),
+                    p.stats().writes(),
+                    p.free_pages(),
+                    p.num_pages(),
+                )
+            };
+            let kept = run(false);
+            let discarded = run(true);
+            assert_eq!(discarded, kept, "{policy:?}");
+            assert_eq!(discarded.2, 0, "{policy:?}: discard recycles nothing");
+        }
+    }
+
+    #[test]
+    fn discarded_page_reads_zeros_until_rewritten() {
+        let disk = Arc::new(MemDisk::new());
+        let p = BufferPool::builder()
+            .capacity(2)
+            .disk(Box::new(Arc::clone(&disk)))
+            .build();
+        let a = p.allocate_page().unwrap();
+        p.write(a, |mut pg| {
+            pg.init();
+            pg.insert(b"temp").unwrap();
+        })
+        .unwrap();
+        let pinned = p
+            .read(a, |_| {
+                matches!(p.discard_page(a), Err(BufferError::PagePinned(_)))
+            })
+            .unwrap();
+        assert!(pinned, "a pinned page cannot be discarded");
+        p.flush_page(a).unwrap();
+        assert_eq!(disk.live_pages(), 1);
+        p.discard_page(a).unwrap();
+        assert_eq!(disk.live_pages(), 0);
+        let zeroed = p.read(a, |pg| pg.bytes().iter().all(|&x| x == 0)).unwrap();
+        assert!(zeroed, "a discarded page reads as zeros");
+        p.write(a, |mut pg| pg.init()).unwrap();
+        p.flush_all().unwrap();
+        assert_eq!(disk.live_pages(), 1, "a later write re-materializes it");
     }
 
     #[test]

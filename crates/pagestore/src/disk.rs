@@ -134,6 +134,12 @@ pub trait DiskManager: Send + Sync {
     fn sync(&self) -> Result<(), DiskError> {
         Ok(())
     }
+    /// The page's contents will never be read again before it is next
+    /// written: a store may release its bytes (a later read returns
+    /// zeros). The id stays allocated. The default keeps the bytes.
+    fn discard_page(&self, _id: PageId) -> Result<(), DiskError> {
+        Ok(())
+    }
     /// The raw OS file descriptor page reads could be issued against
     /// directly, if this store is a plain positioned-read file.
     ///
@@ -170,14 +176,19 @@ impl<D: DiskManager + ?Sized> DiskManager for std::sync::Arc<D> {
     fn sync(&self) -> Result<(), DiskError> {
         (**self).sync()
     }
+    fn discard_page(&self, id: PageId) -> Result<(), DiskError> {
+        (**self).discard_page(id)
+    }
     fn raw_read_fd(&self) -> Option<i32> {
         (**self).raw_read_fd()
     }
 }
 
-/// In-memory page store.
+/// In-memory page store. Sparse: a page that was allocated but never
+/// written, or [discarded](DiskManager::discard_page), holds no bytes and
+/// reads as zeros.
 pub struct MemDisk {
-    pages: Mutex<Vec<PageBuf>>,
+    pages: Mutex<Vec<Option<Box<PageBuf>>>>,
 }
 
 impl MemDisk {
@@ -186,6 +197,12 @@ impl MemDisk {
         MemDisk {
             pages: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Number of pages currently holding bytes: allocated pages that have
+    /// been written and not discarded since.
+    pub fn live_pages(&self) -> usize {
+        self.pages.lock().iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -211,11 +228,18 @@ fn coalesced_runs(ids: &[PageId]) -> usize {
     runs
 }
 
+fn copy_or_zero(page: &Option<Box<PageBuf>>, buf: &mut PageBuf) {
+    match page {
+        Some(page) => buf.copy_from_slice(&page[..]),
+        None => buf.fill(0),
+    }
+}
+
 impl DiskManager for MemDisk {
     fn read_page(&self, id: PageId, buf: &mut PageBuf) -> Result<(), DiskError> {
         let pages = self.pages.lock();
         let page = pages.get(id as usize).ok_or(DiskError::BadPage(id))?;
-        buf.copy_from_slice(&page[..]);
+        copy_or_zero(page, buf);
         Ok(())
     }
 
@@ -230,7 +254,7 @@ impl DiskManager for MemDisk {
             return Err(DiskError::BadPage(bad));
         }
         for (&id, buf) in ids.iter().zip(bufs.iter_mut()) {
-            buf.copy_from_slice(&pages[id as usize][..]);
+            copy_or_zero(&pages[id as usize], buf);
         }
         Ok(coalesced_runs(ids))
     }
@@ -238,19 +262,29 @@ impl DiskManager for MemDisk {
     fn write_page(&self, id: PageId, buf: &PageBuf) -> Result<(), DiskError> {
         let mut pages = self.pages.lock();
         let page = pages.get_mut(id as usize).ok_or(DiskError::BadPage(id))?;
-        page.copy_from_slice(buf);
+        match page {
+            Some(page) => page.copy_from_slice(buf),
+            None => *page = Some(Box::new(*buf)),
+        }
         Ok(())
     }
 
     fn allocate_page(&self) -> Result<PageId, DiskError> {
         let mut pages = self.pages.lock();
         let id = pages.len() as PageId;
-        pages.push([0u8; PAGE_SIZE]);
+        pages.push(None);
         Ok(id)
     }
 
     fn num_pages(&self) -> u32 {
         self.pages.lock().len() as u32
+    }
+
+    fn discard_page(&self, id: PageId) -> Result<(), DiskError> {
+        let mut pages = self.pages.lock();
+        let page = pages.get_mut(id as usize).ok_or(DiskError::BadPage(id))?;
+        *page = None;
+        Ok(())
     }
 }
 
@@ -632,6 +666,13 @@ impl<D: DiskManager> DiskManager for FaultyDisk<D> {
             return Err(DiskError::Crashed);
         }
         self.inner.allocate_page()
+    }
+
+    fn discard_page(&self, id: PageId) -> Result<(), DiskError> {
+        if self.state.lock().dead {
+            return Err(DiskError::Crashed);
+        }
+        self.inner.discard_page(id)
     }
 
     fn num_pages(&self) -> u32 {

@@ -171,25 +171,27 @@ impl<'a> PageView<'a> {
 
     /// Total reclaimable free bytes (contiguous plus dead-record space).
     pub fn total_free(&self) -> usize {
-        let live: usize = self.records().map(|(_, r)| r.len()).sum();
-        PAGE_SIZE - HEADER_SIZE - self.slot_count() as usize * SLOT_SIZE - live
+        self.scan_slots().1
     }
 
-    /// Would a record of `len` bytes fit (possibly after compaction),
-    /// assuming it needs a fresh slot?
-    pub fn fits(&self, len: usize) -> bool {
-        // A dead slot can be reused without growing the slot array.
-        let slot_cost = if self.first_dead_slot().is_some() {
-            0
-        } else {
-            SLOT_SIZE
-        };
-        self.total_free() >= len + slot_cost
-    }
-
-    fn first_dead_slot(&self) -> Option<SlotId> {
-        (0..self.slot_count())
-            .find(|&s| get_u16(self.data, HEADER_SIZE + s as usize * SLOT_SIZE) == DEAD)
+    /// One walk of the slot array: the first dead slot, if any, and the
+    /// total free bytes.
+    fn scan_slots(&self) -> (Option<SlotId>, usize) {
+        let n = self.slot_count();
+        let mut dead = None;
+        let mut live = 0usize;
+        for s in 0..n {
+            let at = HEADER_SIZE + s as usize * SLOT_SIZE;
+            if get_u16(self.data, at) == DEAD {
+                dead = dead.or(Some(s));
+            } else {
+                live += get_u16(self.data, at + 2) as usize;
+            }
+        }
+        (
+            dead,
+            PAGE_SIZE - HEADER_SIZE - n as usize * SLOT_SIZE - live,
+        )
     }
 }
 
@@ -242,35 +244,73 @@ impl<'a> PageMut<'a> {
 
     /// Insert a record, compacting the page first if fragmentation requires
     /// it. Returns the slot the record was placed in.
+    ///
+    /// One pass over the slot array finds both the first dead slot (reused
+    /// before the array grows) and the free byte count the fit test needs.
     pub fn insert(&mut self, record: &[u8]) -> Result<SlotId, PageError> {
         if record.len() > MAX_RECORD {
             return Err(PageError::RecordTooLarge);
         }
-        if !self.view().fits(record.len()) {
+        let (reuse, free) = self.view().scan_slots();
+        let slot_cost = if reuse.is_some() { 0 } else { SLOT_SIZE };
+        if free < record.len() + slot_cost {
             return Err(PageError::PageFull);
         }
-        let reuse = self.view().first_dead_slot();
-        let slot_cost = if reuse.is_some() { 0 } else { SLOT_SIZE };
+        let slot = reuse.unwrap_or(self.view().slot_count());
+        self.place(slot, record);
+        Ok(slot)
+    }
+
+    /// Insert records from the front of `records` until one does not fit
+    /// (or is larger than any page), returning how many were placed.
+    ///
+    /// Leaves exactly the bytes a loop of [`Self::insert`] stopping at its
+    /// first error would: records take fresh slots in order, and a
+    /// fragmented page is compacted at the same record that would have
+    /// compacted it. The slot array is scanned once; each record after
+    /// that costs O(1). A page with dead slots (whose reuse order `insert`
+    /// defines) takes the `insert` loop.
+    pub fn insert_all<R: AsRef<[u8]>>(&mut self, records: &[R]) -> usize {
+        let (dead, mut free) = self.view().scan_slots();
+        if dead.is_some() {
+            return records
+                .iter()
+                .take_while(|r| self.insert(r.as_ref()).is_ok())
+                .count();
+        }
+        for (placed, r) in records.iter().enumerate() {
+            let r = r.as_ref();
+            if r.len() > MAX_RECORD || free < r.len() + SLOT_SIZE {
+                return placed;
+            }
+            self.place(self.view().slot_count(), r);
+            free -= r.len() + SLOT_SIZE;
+        }
+        records.len()
+    }
+
+    /// Write `record` into the record area and point `slot` at it: a dead
+    /// slot, or the next fresh one (`slot == slot_count`), which this
+    /// counts. The caller has checked that the page, once compacted, has
+    /// room for the record plus any fresh slot.
+    fn place(&mut self, slot: SlotId, record: &[u8]) {
+        let n = self.view().slot_count();
+        let slot_cost = if slot == n { SLOT_SIZE } else { 0 };
+        // Compact before counting a fresh slot: its directory bytes are
+        // still unwritten free space.
         if self.view().contiguous_free() < record.len() + slot_cost {
             self.compact();
         }
         debug_assert!(self.view().contiguous_free() >= record.len() + slot_cost);
-
-        let slot = match reuse {
-            Some(s) => s,
-            None => {
-                let n = self.view().slot_count();
-                put_u16(self.data, 0, n + 1);
-                n
-            }
-        };
+        if slot == n {
+            put_u16(self.data, 0, n + 1);
+        }
         let free_end = self.view().free_end() - record.len();
         self.data[free_end..free_end + record.len()].copy_from_slice(record);
         put_u16(self.data, 2, free_end as u16);
         let at = HEADER_SIZE + slot as usize * SLOT_SIZE;
         put_u16(self.data, at, free_end as u16);
         put_u16(self.data, at + 2, record.len() as u16);
-        Ok(slot)
     }
 
     /// Delete the record in `slot`.
@@ -540,5 +580,166 @@ mod tests {
         p.delete(c).unwrap();
         let live: Vec<_> = p.view().records().map(|(_, r)| r.to_vec()).collect();
         assert_eq!(live, vec![b"b".to_vec()]);
+    }
+
+    /// The three-pass insert the single-pass one replaced, kept as the
+    /// oracle: a fit test (first dead slot, then live bytes), a second
+    /// dead-slot search, then compaction and placement.
+    fn reference_insert(p: &mut PageMut<'_>, record: &[u8]) -> Result<SlotId, PageError> {
+        let first_dead_slot = |v: PageView<'_>| {
+            (0..v.slot_count())
+                .find(|&s| get_u16(v.data, HEADER_SIZE + s as usize * SLOT_SIZE) == DEAD)
+        };
+        if record.len() > MAX_RECORD {
+            return Err(PageError::RecordTooLarge);
+        }
+        let fit_cost = if first_dead_slot(p.view()).is_some() {
+            0
+        } else {
+            SLOT_SIZE
+        };
+        let live: usize = p.view().records().map(|(_, r)| r.len()).sum();
+        let total_free =
+            PAGE_SIZE - HEADER_SIZE - p.view().slot_count() as usize * SLOT_SIZE - live;
+        if total_free < record.len() + fit_cost {
+            return Err(PageError::PageFull);
+        }
+        let reuse = first_dead_slot(p.view());
+        let slot_cost = if reuse.is_some() { 0 } else { SLOT_SIZE };
+        if p.view().contiguous_free() < record.len() + slot_cost {
+            p.compact();
+        }
+        let slot = match reuse {
+            Some(s) => s,
+            None => {
+                let n = p.view().slot_count();
+                put_u16(p.data, 0, n + 1);
+                n
+            }
+        };
+        let free_end = p.view().free_end() - record.len();
+        p.data[free_end..free_end + record.len()].copy_from_slice(record);
+        put_u16(p.data, 2, free_end as u16);
+        let at = HEADER_SIZE + slot as usize * SLOT_SIZE;
+        put_u16(p.data, at, free_end as u16);
+        put_u16(p.data, at + 2, record.len() as u16);
+        Ok(slot)
+    }
+
+    /// A page-shaping step: inserts grow the slot array, deletes leave
+    /// dead slots, shrinking and growing updates leave fragmentation.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(usize),
+        Delete(usize),
+        Update(usize, usize),
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => (0usize..300).prop_map(Op::Insert),
+            1 => (MAX_RECORD - 2..MAX_RECORD + 3).prop_map(Op::Insert),
+            2 => any::<usize>().prop_map(Op::Delete),
+            2 => (any::<usize>(), 0usize..300).prop_map(|(s, l)| Op::Update(s, l)),
+        ]
+    }
+
+    fn record_of(len: usize, tag: usize) -> Vec<u8> {
+        (0..len).map(|i| (i + tag * 31) as u8).collect()
+    }
+
+    /// Apply a non-insert shaping op to one page; `Insert` is the
+    /// caller's, since it is the operation under test.
+    fn shape(p: &mut PageMut<'_>, op: &Op, tag: usize) {
+        let n = p.view().slot_count() as usize;
+        match *op {
+            Op::Insert(_) => unreachable!("inserts are applied by the caller"),
+            Op::Delete(s) if n > 0 => {
+                let _ = p.delete((s % n) as SlotId);
+            }
+            Op::Update(s, len) if n > 0 => {
+                let _ = p.update((s % n) as SlotId, &record_of(len, tag));
+            }
+            _ => {}
+        }
+    }
+
+    /// Build a page by running `ops` with the single-pass insert.
+    fn shaped_page(ops: &[Op]) -> PageBuf {
+        let mut buf = fresh();
+        let mut p = PageMut::new(&mut buf);
+        for (tag, op) in ops.iter().enumerate() {
+            match op {
+                Op::Insert(len) => {
+                    let _ = p.insert(&record_of(*len, tag));
+                }
+                _ => shape(&mut p, op, tag),
+            }
+        }
+        buf
+    }
+
+    mod fill_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// The single-pass insert picks the same slot (or fails the
+            /// same way) as the three-pass reference and leaves the same
+            /// bytes, over pages with dead slots and fragmentation.
+            #[test]
+            fn single_pass_insert_matches_reference(
+                ops in proptest::collection::vec(arb_op(), 1..200),
+            ) {
+                let mut a = fresh();
+                let mut b = fresh();
+                for (tag, op) in ops.iter().enumerate() {
+                    let mut pa = PageMut::new(&mut a);
+                    let mut pb = PageMut::new(&mut b);
+                    match op {
+                        Op::Insert(len) => {
+                            let rec = record_of(*len, tag);
+                            prop_assert_eq!(pa.insert(&rec), reference_insert(&mut pb, &rec));
+                        }
+                        _ => {
+                            shape(&mut pa, op, tag);
+                            shape(&mut pb, op, tag);
+                        }
+                    }
+                    prop_assert!(a[..] == b[..], "pages diverged after {:?}", op);
+                }
+            }
+
+            /// The bulk fill leaves the bytes and placed count of a loop of
+            /// `insert` that stops at its first error.
+            #[test]
+            fn bulk_fill_matches_insert_loop(
+                ops in proptest::collection::vec(arb_op(), 0..120),
+                lens in proptest::collection::vec(0usize..260, 0..400),
+                oversized_at in 0usize..500,
+            ) {
+                let base = shaped_page(&ops);
+                let records: Vec<Vec<u8>> = lens
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| {
+                        let len = if i == oversized_at { MAX_RECORD + 1 } else { len };
+                        record_of(len, i + 1000)
+                    })
+                    .collect();
+
+                let mut looped = base;
+                let mut p = PageMut::new(&mut looped);
+                let expect = records.iter().take_while(|r| p.insert(r).is_ok()).count();
+
+                let mut bulk = base;
+                let placed = PageMut::new(&mut bulk).insert_all(&records);
+                prop_assert_eq!(placed, expect);
+                prop_assert!(bulk[..] == looped[..], "bulk fill bytes diverged");
+            }
+        }
     }
 }

@@ -581,7 +581,23 @@ impl Shard {
     /// copy without a write-back.
     pub(crate) fn free_page(&self, pid: PageId) -> Result<(), BufferError> {
         let mut inner = self.inner.lock();
-        // A freed page's speculated bytes must never be delivered to a
+        self.empty_frame(&mut inner, pid)?;
+        debug_assert!(!inner.free_list.contains(&pid), "double free of page {pid}");
+        inner.free_list.push(pid);
+        Ok(())
+    }
+
+    /// Empty `pid`'s frame, if resident, without a write-back. The frame
+    /// keeps its place in the replacement state, so victim order is what
+    /// it would have been had the page stayed; the id is not recycled.
+    pub(crate) fn discard_page(&self, pid: PageId) -> Result<(), BufferError> {
+        self.empty_frame(&mut self.inner.lock(), pid)
+    }
+
+    /// Forget `pid`'s resident copy (if any) and in-flight speculation.
+    /// Fails if the page is pinned.
+    fn empty_frame(&self, inner: &mut ShardInner, pid: PageId) -> Result<(), BufferError> {
+        // A released page's speculated bytes must never be delivered to a
         // later reallocation of the id.
         inner.aio_pending.remove(&pid);
         if let Some(&idx) = inner.page_table.get(&pid) {
@@ -594,8 +610,6 @@ impl Shard {
             st.dirty = false;
             st.rec_lsn = NO_LSN;
         }
-        debug_assert!(!inner.free_list.contains(&pid), "double free of page {pid}");
-        inner.free_list.push(pid);
         Ok(())
     }
 

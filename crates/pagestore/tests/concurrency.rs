@@ -187,6 +187,9 @@ impl DiskManager for CountingDisk {
     fn num_pages(&self) -> u32 {
         self.inner.num_pages()
     }
+    fn discard_page(&self, id: PageId) -> Result<(), DiskError> {
+        self.inner.discard_page(id)
+    }
 }
 
 /// Eight threads mixing reads, writes, allocates and frees on one small
@@ -416,5 +419,8 @@ impl DiskManager for ArcDisk {
     }
     fn num_pages(&self) -> u32 {
         self.0.num_pages()
+    }
+    fn discard_page(&self, id: PageId) -> Result<(), DiskError> {
+        self.0.discard_page(id)
     }
 }

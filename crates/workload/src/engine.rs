@@ -1730,6 +1730,93 @@ mod tests {
         }
     }
 
+    fn sorted_bfs(engine: &Engine, q: &RetrieveQuery) -> Vec<i64> {
+        let mut v = engine.retrieve(Strategy::Bfs, q).unwrap().values;
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn bfs_temp_pages_are_discarded_not_recycled() {
+        let p = tiny();
+        let generated = generate(&p);
+        let disk = Arc::new(cor_pagestore::MemDisk::new());
+        let engine = Engine::builder()
+            .pool_pages(16)
+            .disk(disk.clone())
+            .build(&generated.spec)
+            .unwrap();
+        let q = RetrieveQuery {
+            lo: 0,
+            hi: p.parent_card - 1,
+            attr: RetAttr::Ret1,
+        };
+        let expected = sorted_bfs(&engine, &q);
+        let stats = engine.pool().stats().clone();
+        let (pages, live, allocations) = (disk.num_pages(), disk.live_pages(), stats.allocations());
+        for _ in 0..6 {
+            assert_eq!(sorted_bfs(&engine, &q), expected);
+        }
+        let grown = (disk.num_pages() - pages) as u64;
+        assert!(grown >= 6, "every retrieve allocates a fresh temp");
+        assert_eq!(
+            grown,
+            stats.allocations() - allocations,
+            "every allocation extends the store: no page id is reused"
+        );
+        assert_eq!(engine.pool().free_pages(), 0);
+        assert!(
+            disk.live_pages() <= live,
+            "temp bytes are released: {} live pages after, {live} before",
+            disk.live_pages()
+        );
+    }
+
+    #[test]
+    fn crash_after_bfs_redoes_onto_discarded_temp_pages() {
+        let p = tiny();
+        let generated = generate(&p);
+        let (disk, store) = mem_stores();
+        let q = RetrieveQuery {
+            lo: 0,
+            hi: p.parent_card - 1,
+            attr: RetAttr::Ret1,
+        };
+        let engine = Engine::builder()
+            .pool_pages(16)
+            .create_on(
+                disk.clone(),
+                store.clone(),
+                &EngineSpec::Standard(generated.spec.clone()),
+            )
+            .unwrap();
+        engine.checkpoint().unwrap();
+        // The temps' image and delta records land after the checkpoint,
+        // so redo replays them onto pages the store has already dropped.
+        let before = sorted_bfs(&engine, &q);
+        let target = generated.spec.child_rels[0][0].oid;
+        engine
+            .update(&UpdateQuery {
+                targets: vec![target],
+                new_ret1: 4242,
+            })
+            .unwrap();
+        let expected = sorted_values(&engine, &q);
+        assert_ne!(expected, before);
+        assert_eq!(sorted_bfs(&engine, &q), expected);
+        drop(engine); // no clean shutdown: dirty frames die with the pool
+        store.crash();
+        let live = disk.live_pages();
+
+        let reopened = Engine::builder().open_on(disk.clone(), store).unwrap();
+        assert!(
+            disk.live_pages() > live,
+            "redo re-materialized discarded temp pages"
+        );
+        assert_eq!(sorted_values(&reopened, &q), expected);
+        assert_eq!(sorted_bfs(&reopened, &q), expected);
+    }
+
     #[test]
     fn crash_open_recovers_and_serves_identical_answers() {
         let p = tiny();

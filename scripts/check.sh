@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy (io_uring feature, deny warnings)"
+cargo clippy -p cor-pagestore --features io_uring --all-targets -- -D warnings
+
 echo "==> cargo test"
 cargo test --workspace -q
 
