@@ -1258,7 +1258,7 @@ impl BTreeFile {
             hi: hi.to_vec(),
             buffered: std::collections::VecDeque::new(),
             done: false,
-            readahead: Readahead::new(&self.pool, 0, self.ra_end.get()),
+            readahead: Readahead::new(0, self.ra_end.get()),
         })
     }
 
@@ -1272,7 +1272,7 @@ impl BTreeFile {
             hi: vec![0xFFu8; self.key_len],
             buffered: std::collections::VecDeque::new(),
             done: false,
-            readahead: Readahead::new(&self.pool, 0, self.ra_end.get()),
+            readahead: Readahead::new(0, self.ra_end.get()),
         }
     }
 
@@ -1303,7 +1303,7 @@ impl BTreeFile {
             count: 0,
             pos: 0,
             next_leaf: self.first_leaf.get(),
-            readahead: Readahead::new(&self.pool, readahead, self.ra_end.get()),
+            readahead: Readahead::new(readahead, self.ra_end.get()),
         };
         let kl = self.key_len;
         let mut current = None;
@@ -1384,15 +1384,10 @@ struct Readahead {
 }
 
 impl Readahead {
-    fn new(pool: &BufferPool, window: usize, end: PageId) -> Self {
-        let cur = if pool.queue_depth() > 1 {
-            window
-        } else {
-            window.min(4)
-        };
+    fn new(window: usize, end: PageId) -> Self {
         Readahead {
             window,
-            cur,
+            cur: window.min(4),
             horizon: 0,
             end,
         }
@@ -1435,16 +1430,12 @@ impl BTreeRange {
     /// entries yielded are identical either way. `window == 0` (the
     /// default) disables readahead entirely.
     ///
-    /// On a synchronous pool the window ramps: the first prefetch covers
-    /// at most 4 pages and each subsequent one doubles up to `window`,
-    /// so a short scan wastes at most a few speculative pages while a
-    /// long one still reaches full-window coalescing. On a pool with an
-    /// async submission engine (`queue_depth > 1`) the ramp is skipped
-    /// and the first prefetch already covers the full window —
-    /// speculative pages overlap with the scan instead of blocking it,
-    /// so eagerness costs latency nothing and keeps the queue fed.
+    /// The window ramps: the first prefetch covers at most 4 pages and
+    /// each subsequent one doubles up to `window`, so a short scan
+    /// wastes at most a few speculative pages while a long one still
+    /// reaches full-window coalescing.
     pub fn with_readahead(mut self, window: usize) -> Self {
-        self.readahead = Readahead::new(&self.pool, window, self.readahead.end);
+        self.readahead = Readahead::new(window, self.readahead.end);
         self
     }
 }

@@ -58,9 +58,6 @@ struct LegSpec {
 /// Median-of-K measurement of one leg.
 struct LegResult {
     name: String,
-    /// The pool's active async submission backend ("sync" at the
-    /// default queue depth of 1).
-    backend: &'static str,
     retrieves: u64,
     values: u64,
     checksum: u64,
@@ -88,7 +85,6 @@ fn suite() -> Vec<LegSpec> {
                 io: IoOptions {
                     batch: 16,
                     readahead: 32,
-                    queue_depth: 1,
                 },
                 ..ExecOptions::default()
             },
@@ -111,13 +107,11 @@ fn run_leg(
 
     let mut agreed: Option<(u64, u64, u64, u64, u64)> = None;
     let mut walls: Vec<u64> = Vec::with_capacity(reps);
-    let mut backend: &'static str = "sync";
     for rep in 0..reps {
         let engine = Engine::builder()
             .build_workload(params, generated, spec.strategy)
             .map_err(|e| format!("{}: engine build failed: {e}", spec.name))?
             .with_options(spec.opts);
-        backend = engine.pool().aio_backend().name();
         let stats = engine.pool().stats().clone();
         engine
             .pool()
@@ -155,7 +149,6 @@ fn run_leg(
     walls.sort_unstable();
     Ok(LegResult {
         name: spec.name.clone(),
-        backend,
         retrieves,
         values,
         checksum,
@@ -189,10 +182,9 @@ fn json_record(
         .iter()
         .map(|l| {
             format!(
-                "{{\"leg\":\"{}\",\"aio_backend\":\"{}\",\"retrieves\":{},\
-                 \"values\":{},\"checksum\":{},\
+                "{{\"leg\":\"{}\",\"retrieves\":{},\"values\":{},\"checksum\":{},\
                  \"reads\":{},\"writes\":{},\"wall_ns\":{}}}",
-                l.name, l.backend, l.retrieves, l.values, l.checksum, l.reads, l.writes, l.wall_ns
+                l.name, l.retrieves, l.values, l.checksum, l.reads, l.writes, l.wall_ns
             )
         })
         .collect();

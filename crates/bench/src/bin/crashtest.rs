@@ -31,10 +31,7 @@ use complexobj::procedural::ProcCaching;
 use complexobj::{CacheConfig, ClusterAssignment, Query, RetAttr, RetrieveQuery, Strategy};
 use cor_obs::flight::{self, FlightKind};
 use cor_obs::FlightEvent;
-use cor_pagestore::{
-    AioConfig, AioEngine, DiskError, DiskManager, FaultMode, FaultyDisk, IoStats, MemDisk, PageId,
-    TicketStatus, PAGE_SIZE,
-};
+use cor_pagestore::{DiskManager, FaultMode, FaultyDisk, MemDisk, PAGE_SIZE};
 use cor_relational::Oid;
 use cor_wal::{recover, FsyncPolicy, MemLogStore, RecoveryStats, Wal, WalConfig};
 use cor_workload::{
@@ -726,111 +723,6 @@ fn run_logical(seed: u64, points: usize) -> bool {
     failed.is_empty()
 }
 
-/// Pre-flight for the async submission path over a faulty store: a read
-/// fault that fires while a batch is in flight must poison the ticket —
-/// every harvest surface yields the error, and a failed page's buffer is
-/// never touched with partial bytes — while the batch's healthy runs
-/// still deliver exact page images. After a crash fault kills the disk,
-/// every subsequent submission must come back `Crashed`.
-///
-/// `FaultyDisk` leaves [`DiskManager::raw_read_fd`] at `None`, so these
-/// submissions always execute on the portable thread-pool backend and
-/// tick the same per-page fault ordinals as the synchronous path.
-fn aio_fault_preflight() -> Vec<String> {
-    let mut bad = Vec::new();
-    let faulty = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new())));
-    let mut images: Vec<(PageId, [u8; PAGE_SIZE])> = Vec::new();
-    for i in 0..12u8 {
-        let pid = faulty.allocate_page().expect("preflight allocate");
-        let page = [i ^ 0x5A; PAGE_SIZE];
-        faulty.write_page(pid, &page).expect("preflight write");
-        images.push((pid, page));
-    }
-    let stats = Arc::new(IoStats::default());
-    let engine = AioEngine::new(
-        faulty.clone() as Arc<dyn DiskManager>,
-        Arc::clone(&stats),
-        AioConfig::with_depth(4),
-    );
-
-    // Three separated runs in one batch. FaultyDisk reads page-at-a-time
-    // even under read_pages, so the 5th read of the batch — wherever the
-    // pool's worker interleaving places it — fires mid-flight.
-    let ids: Vec<PageId> = images
-        .iter()
-        .map(|(p, _)| *p)
-        .filter(|p| *p != images[4].0 && *p != images[8].0)
-        .collect();
-    faulty.arm(5, FaultMode::ShortRead);
-    let ticket = engine.submit(&ids);
-    if ticket.wait().is_ok() {
-        bad.push("aio preflight: in-flight read fault did not poison the ticket".into());
-    }
-    if ticket.poll() != TicketStatus::Poisoned {
-        bad.push(format!(
-            "aio preflight: poll reports {:?} on a failed batch",
-            ticket.poll()
-        ));
-    }
-    if faulty.faults_fired() != 1 {
-        bad.push(format!(
-            "aio preflight: expected exactly one injected fault, saw {}",
-            faulty.faults_fired()
-        ));
-    }
-    let mut failed_pages = 0usize;
-    for c in ticket.into_completions() {
-        let mut buf = [0xEEu8; PAGE_SIZE];
-        match c.wait_into(&mut buf) {
-            Ok(()) => {
-                let want = images
-                    .iter()
-                    .find(|(p, _)| *p == c.page_id())
-                    .map(|(_, img)| img)
-                    .expect("completion for a requested page");
-                if buf != *want {
-                    bad.push(format!(
-                        "aio preflight: page {} harvested with wrong bytes",
-                        c.page_id()
-                    ));
-                }
-            }
-            Err(_) => {
-                failed_pages += 1;
-                if buf != [0xEEu8; PAGE_SIZE] {
-                    bad.push(format!(
-                        "aio preflight: failed completion for page {} left partial bytes",
-                        c.page_id()
-                    ));
-                }
-            }
-        }
-    }
-    if failed_pages == 0 {
-        bad.push("aio preflight: no per-page completion reported the fault".into());
-    }
-
-    // Kill the store (CrashDrop on the next write), then submit again:
-    // the dead disk must fail every run with `Crashed`.
-    faulty.arm(1, FaultMode::CrashDrop);
-    let garbage = [0u8; PAGE_SIZE];
-    if faulty.write_page(images[0].0, &garbage).is_ok() {
-        bad.push("aio preflight: armed CrashDrop write unexpectedly succeeded".into());
-    }
-    let ticket = engine.submit(&ids);
-    match ticket.wait() {
-        Err(DiskError::Crashed) => {}
-        other => bad.push(format!(
-            "aio preflight: submission on a dead disk returned {other:?}, \
-             expected Err(Crashed)"
-        )),
-    }
-    if ticket.poll() != TicketStatus::Poisoned {
-        bad.push("aio preflight: dead-disk ticket is not poisoned".into());
-    }
-    bad
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -859,14 +751,6 @@ fn main() {
     flight::install_panic_dump();
     flight::enable(true);
     install_quiet_hook();
-    let preflight = aio_fault_preflight();
-    if !preflight.is_empty() {
-        for f in &preflight {
-            eprintln!("crashtest FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("crashtest: aio fault preflight OK (poisoned tickets, no partial bytes)");
     if logical {
         if !run_logical(seed, points) {
             std::process::exit(1);

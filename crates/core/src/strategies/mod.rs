@@ -58,13 +58,6 @@ pub struct IoOptions {
     pub batch: usize,
     /// Leaf readahead window, in pages, for sequential scans (0 = off).
     pub readahead: usize,
-    /// `cor-aio` submission queue depth (1 = synchronous, off). At
-    /// depth > 1 the buffer pool keeps up to this many coalesced runs
-    /// in flight at once: prefetch becomes genuinely speculative
-    /// (submitted, parked, harvested on demand) and readahead windows
-    /// open eagerly instead of ramping, overlapping strategy compute
-    /// with in-flight reads.
-    pub queue_depth: usize,
 }
 
 impl Default for IoOptions {
@@ -72,7 +65,6 @@ impl Default for IoOptions {
         IoOptions {
             batch: 1,
             readahead: 0,
-            queue_depth: 1,
         }
     }
 }
@@ -81,11 +73,6 @@ impl IoOptions {
     /// Is any batched/prefetching behaviour enabled?
     pub fn enabled(&self) -> bool {
         self.batch > 1 || self.readahead > 0
-    }
-
-    /// Is asynchronous submission enabled?
-    pub fn async_enabled(&self) -> bool {
-        self.queue_depth > 1
     }
 }
 
@@ -100,11 +87,10 @@ pub struct ExecOptions {
     pub sort_work_mem: usize,
     /// Batched / prefetching I/O (defaults reproduce page-at-a-time runs).
     pub io: IoOptions,
-    /// Buffer-pool replacement policy. Like `io.queue_depth`, this
-    /// configures the pool at construction time: engines apply it when
-    /// they build their pool (and persist it in the engine catalog);
-    /// changing it on a running engine does not re-policy an existing
-    /// pool. The default (LRU) reproduces the paper's buffer behaviour
+    /// Buffer-pool replacement policy. This configures the pool at
+    /// construction time: engines apply it when they build their pool
+    /// (and persist it in the engine catalog); changing it on a running
+    /// engine does not re-policy an existing pool. The default (LRU) reproduces the paper's buffer behaviour
     /// byte for byte.
     pub pool_policy: cor_pagestore::ReplacementPolicy,
 }
@@ -139,20 +125,6 @@ pub fn execute_retrieve(
         Strategy::DfsClust => dfs_clust(db, query, opts),
         Strategy::Smart => smart(db, query, opts),
     }
-}
-
-/// Former name of [`execute_retrieve`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `cor::Engine::retrieve` (or `strategies::execute_retrieve`) instead"
-)]
-pub fn run_retrieve(
-    db: &CorDatabase,
-    strategy: Strategy,
-    query: &RetrieveQuery,
-    opts: &ExecOptions,
-) -> Result<StrategyOutput, CorError> {
-    execute_retrieve(db, strategy, query, opts)
 }
 
 /// Shared helper: fetch one subobject record or fail loudly — the paper's
@@ -556,7 +528,6 @@ mod tests {
             io: IoOptions {
                 batch: 8,
                 readahead: 4,
-                queue_depth: 1,
             },
             ..ExecOptions::default()
         };

@@ -55,16 +55,11 @@ pub enum FlightKind {
     /// `cor_obs::tracetree::TraceTree`
     /// (a = trace id, b = strategy tag, c = wall ns).
     TraceLink = 10,
-    /// A `cor-aio` submission found the queue saturated: more runs were
-    /// outstanding than the configured depth, so the new runs waited in
-    /// the backend queue (a = queue depth, b = backlog at submit,
-    /// c = runs in the submission).
-    AioSaturated = 11,
 }
 
 impl FlightKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [FlightKind; 11] = [
+    pub const ALL: [FlightKind; 10] = [
         FlightKind::EngineOpen,
         FlightKind::EngineClose,
         FlightKind::Checkpoint,
@@ -75,7 +70,6 @@ impl FlightKind {
         FlightKind::FaultInjected,
         FlightKind::PointMark,
         FlightKind::TraceLink,
-        FlightKind::AioSaturated,
     ];
 
     /// Stable snake_case name for dumps.
@@ -91,7 +85,6 @@ impl FlightKind {
             FlightKind::FaultInjected => "fault_injected",
             FlightKind::PointMark => "point_mark",
             FlightKind::TraceLink => "trace_link",
-            FlightKind::AioSaturated => "aio_saturated",
         }
     }
 

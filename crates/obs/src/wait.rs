@@ -4,8 +4,7 @@
 //! Cumulative counters say how much work happened; the wait profile says
 //! how long threads *stood still* and where. Four wait classes cover the
 //! places the storage tiers can block today — exactly the queues the
-//! ROADMAP's async-I/O and latch-crabbing items must measure before and
-//! after they land:
+//! ROADMAP's latch-crabbing item must measure before and after it lands:
 //!
 //! * [`WaitClass::ShardLock`] — acquiring a buffer-pool stripe mutex in
 //!   `pin`/`pin_many` (lock striping's residual contention);
@@ -15,10 +14,7 @@
 //! * [`WaitClass::WalLock`] — acquiring the WAL mutex (the group-commit
 //!   queue: appenders serialize here);
 //! * [`WaitClass::WalFsync`] — inside the physical log sync that makes a
-//!   group of commits durable;
-//! * [`WaitClass::AioCompletion`] — a demand access blocked on an
-//!   in-flight `cor-aio` run that has not completed yet (readahead that
-//!   was speculated but not finished when the page was needed).
+//!   group of commits durable.
 //!
 //! Like [`heat`](crate::heat) and [`flight`](crate::flight), the profile
 //! is a process global behind an [`AtomicBool`]: a feed site costs one
@@ -39,7 +35,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Number of distinct wait classes.
-pub const WAIT_CLASSES: usize = 5;
+pub const WAIT_CLASSES: usize = 4;
 
 /// Where a thread waited. Discriminants are stable (they index the
 /// profile's histogram array and appear in exported labels).
@@ -55,8 +51,6 @@ pub enum WaitClass {
     WalLock = 2,
     /// The physical log sync (fsync) making appended records durable.
     WalFsync = 3,
-    /// Blocked harvesting an in-flight `cor-aio` run on demand access.
-    AioCompletion = 4,
 }
 
 impl WaitClass {
@@ -66,7 +60,6 @@ impl WaitClass {
         WaitClass::FrameStall,
         WaitClass::WalLock,
         WaitClass::WalFsync,
-        WaitClass::AioCompletion,
     ];
 
     /// Stable snake_case name (the `class` label in exports).
@@ -76,7 +69,6 @@ impl WaitClass {
             WaitClass::FrameStall => "frame_stall",
             WaitClass::WalLock => "wal_lock",
             WaitClass::WalFsync => "wal_fsync",
-            WaitClass::AioCompletion => "aio_completion",
         }
     }
 
@@ -245,7 +237,6 @@ mod tests {
         }
         assert_eq!(WaitClass::ShardLock.name(), "shard_lock");
         assert_eq!(WaitClass::WalFsync.name(), "wal_fsync");
-        assert_eq!(WaitClass::AioCompletion.name(), "aio_completion");
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! in a production cache. [`IoStats`] counters are atomic, so totals stay
 //! exact under any thread count.
 
-use crate::aio::{AioConfig, AioEngine};
 use crate::disk::{DiskError, DiskManager, MemDisk};
 use crate::page::{PageBuf, PageId, PageMut, PageView};
 use crate::policy::ReplacementPolicy;
@@ -126,7 +125,6 @@ pub struct BufferPoolBuilder {
     stats: Option<Arc<IoStats>>,
     telemetry: bool,
     wal: Option<Arc<dyn WalHook>>,
-    queue_depth: usize,
 }
 
 impl BufferPoolBuilder {
@@ -182,18 +180,6 @@ impl BufferPoolBuilder {
         self
     }
 
-    /// `cor-aio` submission queue depth (default 1). At depth 1 no
-    /// engine is created at all and every path — prefetch, batched
-    /// fetch, demand pin — is the exact synchronous code, so results
-    /// *and* [`IoStats`] are byte-identical to a pool without the knob.
-    /// At depth > 1 the pool routes `prefetch` speculation and batched
-    /// demand fills through an [`AioEngine`](crate::aio::AioEngine)
-    /// that keeps up to `queue_depth` coalesced runs in flight.
-    pub fn queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth.max(1);
-        self
-    }
-
     /// Build the pool.
     ///
     /// # Panics
@@ -216,23 +202,12 @@ impl BufferPoolBuilder {
             .collect();
         let disk: Arc<dyn DiskManager> =
             Arc::from(self.disk.unwrap_or_else(|| Box::new(MemDisk::new())));
-        let stats = self.stats.unwrap_or_default();
-        // Depth 1 creates no engine: the pool runs the exact synchronous
-        // code paths (the byte-identity contract of the knob's default).
-        let aio = (self.queue_depth > 1).then(|| {
-            AioEngine::new(
-                Arc::clone(&disk),
-                Arc::clone(&stats),
-                AioConfig::with_depth(self.queue_depth),
-            )
-        });
         BufferPool {
             disk,
-            stats,
+            stats: self.stats.unwrap_or_default(),
             policy: self.policy,
             shards,
             wal: self.wal,
-            aio,
         }
     }
 }
@@ -260,8 +235,6 @@ pub struct BufferPool {
     policy: ReplacementPolicy,
     shards: Vec<Shard>,
     wal: Option<Arc<dyn WalHook>>,
-    /// The `cor-aio` submission engine; `Some` iff `queue_depth > 1`.
-    aio: Option<AioEngine>,
 }
 
 impl BufferPool {
@@ -275,54 +248,12 @@ impl BufferPool {
             stats: None,
             telemetry: false,
             wal: None,
-            queue_depth: 1,
         }
-    }
-
-    /// The backend the `cor-aio` engine resolved to:
-    /// [`AioBackend::Sync`](crate::aio::AioBackend::Sync) when the pool
-    /// runs at queue depth 1 (no engine).
-    pub fn aio_backend(&self) -> crate::aio::AioBackend {
-        self.aio
-            .as_ref()
-            .map_or(crate::aio::AioBackend::Sync, AioEngine::backend)
-    }
-
-    /// The effective `cor-aio` queue depth (1 = synchronous).
-    pub fn queue_depth(&self) -> usize {
-        self.aio.as_ref().map_or(1, AioEngine::queue_depth)
     }
 
     /// The attached WAL hook, if any.
     fn wal_ref(&self) -> Option<&dyn WalHook> {
         self.wal.as_deref()
-    }
-
-    /// Create a single-shard LRU pool of `capacity` frames over `disk`,
-    /// counting I/O into `stats`.
-    #[deprecated(since = "0.2.0", note = "use `BufferPool::builder()` instead")]
-    pub fn new(disk: Box<dyn DiskManager>, capacity: usize, stats: Arc<IoStats>) -> Self {
-        Self::builder()
-            .disk(disk)
-            .capacity(capacity)
-            .stats(stats)
-            .build()
-    }
-
-    /// Create a single-shard pool with an explicit replacement policy.
-    #[deprecated(since = "0.2.0", note = "use `BufferPool::builder()` instead")]
-    pub fn with_policy(
-        disk: Box<dyn DiskManager>,
-        capacity: usize,
-        stats: Arc<IoStats>,
-        policy: ReplacementPolicy,
-    ) -> Self {
-        Self::builder()
-            .disk(disk)
-            .capacity(capacity)
-            .stats(stats)
-            .policy(policy)
-            .build()
     }
 
     /// The configured replacement policy.
@@ -536,7 +467,6 @@ impl BufferPool {
                 &self.stats,
                 self.wal_ref(),
                 prefetch,
-                self.aio.as_ref(),
             )?;
             pinned.extend(got.into_iter().map(|(pid, idx)| (pid, s, idx)));
             Ok(())
@@ -628,27 +558,6 @@ impl BufferPool {
             return Ok(());
         }
         self.stats.record_prefetch_issued(wanted.len() as u64);
-        // With an engine attached, speculation is genuinely asynchronous:
-        // runs are submitted and parked as pending completions, nothing
-        // blocks, no frame is consumed until the bytes are demanded, and
-        // never-demanded pages never count as reads. Without one, the
-        // historical blocking path faults the pages in now.
-        if let Some(engine) = &self.aio {
-            if self.shards.len() == 1 {
-                self.shards[0].prefetch_async(&wanted, engine);
-            } else {
-                let mut groups: Vec<Vec<PageId>> = vec![Vec::new(); self.shards.len()];
-                for &pid in &wanted {
-                    groups[self.shard_index_of(pid)].push(pid);
-                }
-                for (s, group) in groups.iter().enumerate() {
-                    if !group.is_empty() {
-                        self.shards[s].prefetch_async(group, engine);
-                    }
-                }
-            }
-            return Ok(());
-        }
         let pinned = self.pin_batch(&wanted, true)?;
         for &(_, s, idx) in &pinned {
             self.shards[s].unpin(idx);
@@ -1241,22 +1150,6 @@ mod tests {
             }
             assert_eq!(p.policy(), policy);
         }
-    }
-
-    #[test]
-    fn deprecated_constructors_still_work() {
-        #[allow(deprecated)]
-        let p = BufferPool::new(Box::new(MemDisk::new()), 4, IoStats::new());
-        assert_eq!(p.capacity(), 4);
-        assert_eq!(p.shards(), 1);
-        #[allow(deprecated)]
-        let p = BufferPool::with_policy(
-            Box::new(MemDisk::new()),
-            4,
-            IoStats::new(),
-            ReplacementPolicy::Clock,
-        );
-        assert_eq!(p.policy(), ReplacementPolicy::Clock);
     }
 
     #[test]

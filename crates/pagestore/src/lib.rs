@@ -24,15 +24,15 @@
 //!   transfer counts;
 //! * [`wal`] — the write-ahead-log seam: per-page LSNs and the
 //!   [`wal::WalHook`] through which the pool logs mutations and enforces
-//!   WAL-before-data (the log implementation lives in `cor-wal`);
-//! * [`aio`] — the `cor-aio` asynchronous submission layer: a
-//!   completion-queue model over any [`disk::DiskManager`] with bounded
-//!   in-flight queue depth, backing the pool's speculative readahead
-//!   when `queue_depth > 1`.
+//!   WAL-before-data (the log implementation lives in `cor-wal`).
+//!
+//! Every page transfer is synchronous: a demand pin reads one page, and
+//! the batched paths ([`BufferPool::fetch_many`], blocking
+//! [`BufferPool::prefetch`]) fill all of a shard's misses with one sorted
+//! [`DiskManager::read_pages`] call that coalesces adjacent ids into runs.
 
 #![warn(missing_docs)]
 
-pub mod aio;
 pub mod buffer;
 pub mod disk;
 pub mod page;
@@ -42,9 +42,6 @@ pub mod stats;
 pub mod telemetry;
 pub mod wal;
 
-pub use aio::{
-    AioBackend, AioBackendChoice, AioConfig, AioEngine, Completion, SubmissionTicket, TicketStatus,
-};
 pub use buffer::{BufferError, BufferPool, BufferPoolBuilder, DEFAULT_POOL_PAGES};
 pub use disk::{DiskError, DiskManager, Durability, FaultMode, FaultyDisk, FileDisk, MemDisk};
 pub use page::{

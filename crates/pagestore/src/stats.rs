@@ -44,12 +44,6 @@ pub struct IoStats {
     prefetch_issued: AtomicU64,
     /// Demand accesses served by a frame a prefetch brought in.
     prefetch_hits: AtomicU64,
-    /// Runs handed to the `cor-aio` submission layer.
-    aio_submitted: AtomicU64,
-    /// Runs the `cor-aio` backend finished (successfully or not).
-    aio_completed: AtomicU64,
-    /// Peak number of runs simultaneously in flight on the backend.
-    aio_in_flight_peak: AtomicU64,
     profile: OnceLock<Arc<PhaseProfile>>,
 }
 
@@ -123,28 +117,6 @@ impl IoStats {
         self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `runs` runs handed to the async submission layer. Pure
-    /// submission bookkeeping: the pages themselves are counted via
-    /// [`record_read`](Self::record_read)/[`record_batch`](Self::record_batch)
-    /// only when (and if) their bytes are harvested into a frame, so
-    /// transfer totals stay comparable across queue depths.
-    #[inline]
-    pub fn record_aio_submitted(&self, runs: u64) {
-        self.aio_submitted.fetch_add(runs, Ordering::Relaxed);
-    }
-
-    /// Record `runs` runs completed by the async backend.
-    #[inline]
-    pub fn record_aio_completed(&self, runs: u64) {
-        self.aio_completed.fetch_add(runs, Ordering::Relaxed);
-    }
-
-    /// Note an observed in-flight depth of `now` runs, updating the peak.
-    #[inline]
-    pub fn note_aio_in_flight(&self, now: u64) {
-        self.aio_in_flight_peak.fetch_max(now, Ordering::Relaxed);
-    }
-
     /// Physical page reads so far.
     pub fn reads(&self) -> u64 {
         self.reads.load(Ordering::Relaxed)
@@ -185,21 +157,6 @@ impl IoStats {
         self.prefetch_hits.load(Ordering::Relaxed)
     }
 
-    /// Runs submitted to the async layer so far.
-    pub fn aio_submitted(&self) -> u64 {
-        self.aio_submitted.load(Ordering::Relaxed)
-    }
-
-    /// Runs completed by the async backend so far.
-    pub fn aio_completed(&self) -> u64 {
-        self.aio_completed.load(Ordering::Relaxed)
-    }
-
-    /// Peak runs simultaneously in flight so far.
-    pub fn aio_in_flight_peak(&self) -> u64 {
-        self.aio_in_flight_peak.load(Ordering::Relaxed)
-    }
-
     /// Capture the batch/prefetch counters. Kept separate from
     /// [`IoSnapshot`] so the paper-facing transfer counts stay exactly
     /// three fields, byte-identical to the pre-batching layout.
@@ -209,9 +166,6 @@ impl IoStats {
             coalesced_runs: self.coalesced_runs(),
             prefetch_issued: self.prefetch_issued(),
             prefetch_hits: self.prefetch_hits(),
-            aio_submitted: self.aio_submitted(),
-            aio_completed: self.aio_completed(),
-            aio_in_flight_peak: self.aio_in_flight_peak(),
         }
     }
 
@@ -278,9 +232,6 @@ impl IoStats {
         self.coalesced_runs.store(0, Ordering::Relaxed);
         self.prefetch_issued.store(0, Ordering::Relaxed);
         self.prefetch_hits.store(0, Ordering::Relaxed);
-        self.aio_submitted.store(0, Ordering::Relaxed);
-        self.aio_completed.store(0, Ordering::Relaxed);
-        self.aio_in_flight_peak.store(0, Ordering::Relaxed);
         if let Some(p) = self.profile.get() {
             p.reset();
         }
@@ -288,10 +239,8 @@ impl IoStats {
 }
 
 /// A point-in-time copy of the batch/prefetch counters maintained by the
-/// buffer pool's `fetch_many`/prefetch paths, plus the `cor-aio`
-/// submission counters. All are zero when batching is off (batch size 1,
-/// no readahead) — the byte-identity mode — and the `aio_*` trio is
-/// additionally zero whenever `queue_depth <= 1` (no engine exists).
+/// buffer pool's `fetch_many`/prefetch paths. All four are zero when
+/// batching is off (batch size 1, no readahead) — the byte-identity mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchIoSnapshot {
     /// Pages faulted in through the batched path (subset of `reads`).
@@ -302,13 +251,6 @@ pub struct BatchIoSnapshot {
     pub prefetch_issued: u64,
     /// Demand accesses served by prefetched frames.
     pub prefetch_hits: u64,
-    /// Runs handed to the async submission layer.
-    pub aio_submitted: u64,
-    /// Runs the async backend finished (successfully or not).
-    pub aio_completed: u64,
-    /// Peak runs simultaneously in flight (a high-water mark, not a
-    /// counter: `since` keeps the later value rather than subtracting).
-    pub aio_in_flight_peak: u64,
 }
 
 impl BatchIoSnapshot {
@@ -319,9 +261,6 @@ impl BatchIoSnapshot {
             coalesced_runs: self.coalesced_runs.saturating_sub(earlier.coalesced_runs),
             prefetch_issued: self.prefetch_issued.saturating_sub(earlier.prefetch_issued),
             prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-            aio_submitted: self.aio_submitted.saturating_sub(earlier.aio_submitted),
-            aio_completed: self.aio_completed.saturating_sub(earlier.aio_completed),
-            aio_in_flight_peak: self.aio_in_flight_peak,
         }
     }
 

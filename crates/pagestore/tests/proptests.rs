@@ -327,168 +327,19 @@ proptest! {
     }
 }
 
-/// Like [`stamped_pool`] but with an async submission engine of the
-/// given queue depth behind the pool.
-fn stamped_pool_depth(
-    capacity: usize,
-    shards: usize,
-    n: usize,
-    depth: usize,
-) -> (Arc<BufferPool>, Arc<IoStats>, Vec<cor_pagestore::PageId>) {
-    let stats = IoStats::new();
-    let pool = Arc::new(
-        BufferPool::builder()
-            .capacity(capacity)
-            .shards(shards)
-            .queue_depth(depth)
-            .stats(Arc::clone(&stats))
-            .build(),
-    );
-    let pids: Vec<_> = (0..n).map(|_| pool.allocate_page().unwrap()).collect();
-    for (i, &pid) in pids.iter().enumerate() {
-        pool.write(pid, |mut p| {
-            p.init();
-            p.set_flags(0xC0DE_0000 | i as u32);
-        })
-        .unwrap();
-    }
-    pool.flush_and_clear().unwrap();
-    stats.reset();
-    (pool, stats, pids)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// `AioEngine::submit` + harvest is observationally a synchronous
-    /// `read_page` loop for any request multiset (duplicates, arbitrary
-    /// order), any queue depth, and any harvest interleaving: every
-    /// completion delivers the exact page image, and the engine's run
-    /// accounting matches the ticket with a peak bounded by the depth.
-    #[test]
-    fn aio_harvest_matches_sync_reads(
-        depth in 1usize..9,
-        picks in proptest::collection::vec((0usize..16, 0usize..64), 1..48),
-    ) {
-        use cor_pagestore::{AioConfig, AioEngine, DiskManager, MemDisk, PAGE_SIZE};
-
-        let disk = Arc::new(MemDisk::new());
-        let mut images = Vec::new();
-        for i in 0..16u8 {
-            let pid = disk.allocate_page().unwrap();
-            let page = [i ^ 0xA5; PAGE_SIZE];
-            disk.write_page(pid, &page).unwrap();
-            images.push((pid, page));
-        }
-        let ids: Vec<_> = picks.iter().map(|&(i, _)| images[i].0).collect();
-
-        let stats = IoStats::new();
-        let engine = AioEngine::new(
-            Arc::clone(&disk) as Arc<dyn DiskManager>,
-            Arc::clone(&stats),
-            AioConfig::with_depth(depth),
-        );
-        let ticket = engine.submit(&ids);
-        let runs = ticket.num_runs() as u64;
-        prop_assert_eq!(ticket.num_pages(), ids.len());
-        prop_assert_eq!(stats.aio_submitted(), runs);
-
-        // Harvest in an arbitrary interleaving drawn from the picks.
-        let mut pending = ticket.into_completions();
-        let mut order = picks.iter().map(|&(_, r)| r).cycle();
-        while !pending.is_empty() {
-            let k = order.next().unwrap() % pending.len();
-            let c = pending.swap_remove(k);
-            let mut buf = [0u8; PAGE_SIZE];
-            c.wait_into(&mut buf).unwrap();
-            let want = images.iter().find(|(p, _)| *p == c.page_id()).unwrap().1;
-            prop_assert_eq!(buf, want, "page {} image", c.page_id());
-        }
-        prop_assert_eq!(stats.aio_completed(), runs);
-        prop_assert!(stats.aio_in_flight_peak() <= depth.max(1) as u64);
-    }
-
-    /// A pool with an async engine behind `fetch_many` is accounting-
-    /// identical to the synchronous pool: same values in request order
-    /// (duplicates and cross-shard batches included), same `reads`, and
-    /// the same batched-I/O counters — only the `aio_*` counters move,
-    /// and they agree with the synchronous pool's coalesced runs.
-    #[test]
-    fn fetch_many_async_matches_sync_pool(
-        depth in 2usize..9,
-        capacity in 32usize..48,
-        shards in 1usize..5,
-        requests in proptest::collection::vec(0usize..24, 1..60),
-    ) {
-        let (sync_pool, sync_stats, pids) = stamped_pool(capacity, shards, 24);
-        let (aio_pool, aio_stats, pids_b) = stamped_pool_depth(capacity, shards, 24, depth);
-        prop_assert_eq!(&pids, &pids_b);
-
-        let window = (capacity / shards).max(1);
-        let mut sync_vals = Vec::with_capacity(requests.len());
-        let mut aio_vals = Vec::with_capacity(requests.len());
-        for chunk in requests.chunks(window) {
-            let want: Vec<_> = chunk.iter().map(|&i| pids[i]).collect();
-            sync_vals.extend(sync_pool.fetch_many(&want, |_, p| p.flags()).unwrap());
-            aio_vals.extend(aio_pool.fetch_many(&want, |_, p| p.flags()).unwrap());
-        }
-
-        prop_assert_eq!(&sync_vals, &aio_vals);
-        prop_assert_eq!(sync_stats.reads(), aio_stats.reads());
-        let s = sync_stats.batch_snapshot();
-        let mut a = aio_stats.batch_snapshot();
-        prop_assert_eq!(s.aio_submitted, 0);
-        // fetch_many harvests its whole ticket before returning.
-        prop_assert_eq!(a.aio_completed, a.aio_submitted);
-        prop_assert_eq!(a.aio_submitted, s.coalesced_runs);
-        prop_assert!(a.aio_in_flight_peak <= depth as u64);
-        a.aio_submitted = 0;
-        a.aio_completed = 0;
-        a.aio_in_flight_peak = 0;
-        prop_assert_eq!(a, s);
-    }
-
-    /// BadPage mid-batch at any queue depth fails `fetch_many` exactly
-    /// like the synchronous pool — typed error, nothing garbage
-    /// delivered, every valid page intact afterwards.
-    #[test]
-    fn fetch_many_async_bad_page_mid_batch_fails_clean(
-        depth in 2usize..9,
-        capacity in 32usize..48,
-        shards in 1usize..5,
-        prefix in proptest::collection::vec(0usize..24, 0..12),
-        suffix in proptest::collection::vec(0usize..24, 0..12),
-        bump in 0u32..4,
-    ) {
-        let (pool, stats, pids) = stamped_pool_depth(capacity, shards, 24, depth);
-        let bad = pool.num_pages() + bump;
-        let mut want: Vec<_> = prefix.iter().map(|&i| pids[i]).collect();
-        want.push(bad);
-        want.extend(suffix.iter().map(|&i| pids[i]));
-
-        let err = pool.fetch_many(&want, |_, p| p.flags()).unwrap_err();
-        prop_assert!(
-            matches!(err, BufferError::Disk(DiskError::BadPage(p)) if p == bad),
-            "expected BadPage({}), got {:?}", bad, err
-        );
-        for (i, &pid) in pids.iter().enumerate() {
-            let got = pool.read(pid, |p| p.flags()).unwrap();
-            prop_assert_eq!(got, 0xC0DE_0000 | i as u32);
-        }
-        prop_assert!(stats.reads() <= pids.len() as u64);
-    }
-
-    /// Arbitrary interleavings of `prefetch` hints and demand reads over
-    /// an async pool always serve exact page contents, and the harvest
-    /// accounting never exceeds the submissions.
+    /// Arbitrary interleavings of `prefetch` hints and demand reads
+    /// always serve exact page contents, and a prefetched frame is
+    /// counted as a hit at most once.
     #[test]
     fn prefetch_interleavings_deliver_exact_pages(
-        depth in 2usize..9,
         capacity in 32usize..48,
         shards in 1usize..5,
         ops in proptest::collection::vec((any::<bool>(), 0usize..24, 1usize..8), 1..40),
     ) {
-        let (pool, stats, pids) = stamped_pool_depth(capacity, shards, 24, depth);
+        let (pool, stats, pids) = stamped_pool(capacity, shards, 24);
         for &(is_prefetch, start, len) in &ops {
             if is_prefetch {
                 let window: Vec<_> = (start..(start + len).min(24)).map(|i| pids[i]).collect();
@@ -504,7 +355,7 @@ proptest! {
             let got = pool.read(pid, |p| p.flags()).unwrap();
             prop_assert_eq!(got, 0xC0DE_0000 | i as u32);
         }
-        prop_assert!(stats.aio_completed() <= stats.aio_submitted());
+        prop_assert!(stats.prefetch_hits() <= stats.prefetch_issued());
     }
 }
 

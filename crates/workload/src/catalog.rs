@@ -30,10 +30,11 @@ use cor_wal::crc::crc32;
 /// On-disk layout version this build writes.
 ///
 /// * v1 — the PR 6 layout.
-/// * v2 — appends `io.queue_depth` to the [`IoOptions`] block. v1 blobs
-///   are still decoded (the missing knob defaults to 1, the synchronous
-///   behaviour every v1 store actually had), so existing stores reopen
-///   with identical semantics and silently upgrade on their next save.
+/// * v2 — appends a `queue_depth` word to the [`IoOptions`] block. The
+///   async submission layer it configured is gone: the word is still
+///   written (always as `QUEUE_DEPTH_WORD`, 1) so default blobs keep their
+///   bytes, and it is read and ignored on decode. v1 blobs, which lack
+///   it, still decode.
 /// * v3 — widens the replacement-policy byte's value range with the
 ///   scan-resistant policies (`Sieve` = 3, `TwoQ` = 4). The layout is
 ///   unchanged; the bump exists so a v2 build that cannot *run* those
@@ -50,6 +51,10 @@ pub const ENGINE_CATALOG_MIN_VERSION: u32 = 1;
 pub const ENGINE_BLOB: &str = "engine";
 
 const MAGIC: &[u8; 8] = b"CORENGIN";
+
+/// The value written into the retired v2/v3 `queue_depth` slot: every
+/// read is synchronous, which is what depth 1 meant.
+const QUEUE_DEPTH_WORD: u64 = 1;
 
 /// Which strategy backend the store holds, with its full snapshot.
 #[derive(Debug, Clone)]
@@ -105,7 +110,7 @@ impl EngineCatalog {
         e.u64(self.opts.sort_work_mem as u64);
         e.u64(self.opts.io.batch as u64);
         e.u64(self.opts.io.readahead as u64);
-        e.u64(self.opts.io.queue_depth as u64);
+        e.u64(QUEUE_DEPTH_WORD);
         e.u32(self.free_pages.len() as u32);
         for &pid in &self.free_pages {
             e.u32(pid);
@@ -182,9 +187,11 @@ impl EngineCatalog {
         let io = IoOptions {
             batch: d.u64()? as usize,
             readahead: d.u64()? as usize,
-            // v1 predates the knob; those stores ran synchronously.
-            queue_depth: if found >= 2 { d.u64()? as usize } else { 1 },
         };
+        if found >= 2 {
+            // The retired queue_depth word: any value decodes the same.
+            d.u64()?;
+        }
         let n = d.u32()? as usize;
         let mut free_pages = Vec::with_capacity(n);
         for _ in 0..n {
@@ -248,7 +255,6 @@ mod tests {
                 io: IoOptions {
                     batch: 8,
                     readahead: 2,
-                    queue_depth: 4,
                 },
                 pool_policy: ReplacementPolicy::Clock,
             },
@@ -288,26 +294,50 @@ mod tests {
         assert!(matches!(back.backend, SavedBackend::Oid(_)));
     }
 
+    /// Payload offset of the retired queue_depth word: after
+    /// clean_shutdown, pool_pages, shards, policy, smart_threshold, join,
+    /// sort_work_mem, batch and readahead.
+    const QUEUE_DEPTH_AT: usize = 47;
+
     #[test]
     fn v1_blob_decodes_with_synchronous_queue_depth() {
-        let mut cat = sample();
-        cat.opts.io.queue_depth = 1;
-        let v2 = cat.encode();
+        let cat = sample();
+        let v3 = cat.encode();
         // Rebuild the same blob in the v1 layout: drop the queue_depth
-        // word — 8 bytes at payload offset 47 (after clean_shutdown,
-        // pool_pages, shards, policy, smart_threshold, join,
-        // sort_work_mem, batch, readahead) — and restamp version + CRC.
-        let mut payload = v2[16..].to_vec();
-        payload.drain(47..55);
+        // word and restamp version + CRC.
+        let mut payload = v3[16..].to_vec();
+        payload.drain(QUEUE_DEPTH_AT..QUEUE_DEPTH_AT + 8);
         let mut v1 = Vec::with_capacity(16 + payload.len());
-        v1.extend_from_slice(&v2[..8]);
+        v1.extend_from_slice(&v3[..8]);
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&crc32(&payload).to_le_bytes());
         v1.extend_from_slice(&payload);
         let back = EngineCatalog::decode(&v1).unwrap();
-        assert_eq!(back.opts.io.queue_depth, 1, "v1 stores ran synchronously");
         assert_eq!(back.opts, cat.opts);
         assert_eq!(back.free_pages, cat.free_pages);
+    }
+
+    #[test]
+    fn retired_queue_depth_word_is_written_as_one_and_ignored() {
+        let slot = 16 + QUEUE_DEPTH_AT..16 + QUEUE_DEPTH_AT + 8;
+        let fresh = EngineCatalog {
+            policy: ReplacementPolicy::Lru,
+            opts: ExecOptions::default(),
+            ..sample()
+        };
+        assert_eq!(&fresh.encode()[slot.clone()], &1u64.to_le_bytes());
+        let cat = sample();
+        let blob = cat.encode();
+        // Stores written at queue depth 4 reopen with the same options.
+        for version in [2, 3] {
+            let mut deep = blob.clone();
+            deep[slot.clone()].copy_from_slice(&4u64.to_le_bytes());
+            let back = EngineCatalog::decode(&restamp(&deep, version)).unwrap();
+            let one = EngineCatalog::decode(&restamp(&blob, version)).unwrap();
+            assert_eq!(back.opts, one.opts, "v{version}");
+            assert_eq!(back.opts, cat.opts, "v{version}");
+            assert_eq!(back.free_pages, cat.free_pages, "v{version}");
+        }
     }
 
     #[test]

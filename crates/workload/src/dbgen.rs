@@ -248,23 +248,15 @@ pub fn make_pool(params: &Params) -> Arc<BufferPool> {
 /// separate hit/miss/eviction counters readable via
 /// [`BufferPool::telemetry`].
 pub fn make_pool_telemetry(params: &Params, telemetry: bool) -> Arc<BufferPool> {
-    make_pool_async(params, telemetry, 1)
+    make_pool_policy(params, telemetry, ReplacementPolicy::default())
 }
 
-/// Like [`make_pool_telemetry`], with an async submission queue depth:
-/// `queue_depth > 1` builds a `cor-aio` engine into the pool, 1 is the
-/// synchronous byte-identical default.
-pub fn make_pool_async(params: &Params, telemetry: bool, queue_depth: usize) -> Arc<BufferPool> {
-    make_pool_policy(params, telemetry, queue_depth, ReplacementPolicy::default())
-}
-
-/// Like [`make_pool_async`], with an explicit replacement policy — the
-/// poolbench entry point. The default (LRU) reproduces every other
+/// Like [`make_pool_telemetry`], with an explicit replacement policy —
+/// the poolbench entry point. The default (LRU) reproduces every other
 /// helper's pool byte for byte.
 pub fn make_pool_policy(
     params: &Params,
     telemetry: bool,
-    queue_depth: usize,
     policy: ReplacementPolicy,
 ) -> Arc<BufferPool> {
     Arc::new(
@@ -273,7 +265,6 @@ pub fn make_pool_policy(
             .shards(params.shards)
             .policy(policy)
             .telemetry(telemetry)
-            .queue_depth(queue_depth)
             .build(),
     )
 }

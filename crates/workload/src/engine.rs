@@ -1,11 +1,11 @@
 //! The `Engine` facade — one session object over the paper's machinery.
 //!
-//! Historically each representation had its own free-function entry point
-//! (`strategies::run_retrieve`, `multilevel::run_multilevel`,
-//! `procedural::exec::run_proc_retrieve`) and every caller assembled its
-//! own pool + database + cache. The engine owns that assembly behind a
-//! builder and exposes uniform `retrieve` / `update` / `run_sequence`
-//! calls, plus the concurrent driver for multi-stream serving:
+//! Each representation has its own low-level dispatch
+//! (`strategies::execute_retrieve`, `multilevel::execute_multilevel`,
+//! `procedural::execute_proc_retrieve`) over a caller-assembled pool +
+//! database + cache. The engine owns that assembly behind a builder and
+//! exposes uniform `retrieve` / `update` / `run_sequence` calls, plus the
+//! concurrent driver for multi-stream serving:
 //!
 //! ```
 //! use cor_workload::Engine;
@@ -281,7 +281,6 @@ impl EngineBuilder {
             .capacity(self.pool_pages)
             .shards(self.shards)
             .policy(self.policy)
-            .queue_depth(self.opts.io.queue_depth)
             .telemetry(self.metrics);
         if let Some(disk) = &self.disk {
             b = b.disk(Box::new(disk.clone()));
@@ -441,9 +440,8 @@ impl EngineBuilder {
         self.pool_pages = saved.pool_pages;
         self.shards = saved.shards;
         self.policy = saved.policy;
-        // The pool's async submission depth is part of the recorded
-        // execution options, so a reopened store keeps the queue depth
-        // it was created with.
+        // A reopened store runs with the execution options it was
+        // created with.
         self.opts = saved.opts;
         self.disk = Some(disk);
         self.wal = Some(Arc::clone(&wal));
@@ -492,15 +490,14 @@ impl EngineBuilder {
     /// (clustered for DFSCLUST, cache-attached for DFSCACHE / SMART,
     /// plain standard otherwise), using the params' pool geometry. With
     /// [`metrics(true)`](Self::metrics) the pool carries telemetry and
-    /// the engine records spans — the replacement for the deprecated
-    /// `Engine::for_strategy_observed`.
+    /// the engine records spans.
     pub fn build_workload(
         self,
         params: &Params,
         generated: &GeneratedDb,
         strategy: Strategy,
     ) -> Result<Engine, CorError> {
-        let pool = make_pool_policy(params, self.metrics, self.opts.io.queue_depth, self.policy);
+        let pool = make_pool_policy(params, self.metrics, self.policy);
         let db = build_for_strategy_on(pool, params, generated, strategy)?;
         Ok(Engine {
             backend: Backend::Oid(db),
@@ -612,53 +609,7 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// Build the engine a workload point needs under `strategy`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::builder().build_workload(params, generated, strategy)"
-    )]
-    pub fn for_strategy(
-        params: &Params,
-        generated: &GeneratedDb,
-        strategy: Strategy,
-    ) -> Result<Engine, CorError> {
-        Engine::builder().build_workload(params, generated, strategy)
-    }
-
-    /// [`EngineBuilder::build_workload`] with the observability layer on.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::builder().metrics(true).build_workload(params, generated, strategy)"
-    )]
-    pub fn for_strategy_observed(
-        params: &Params,
-        generated: &GeneratedDb,
-        strategy: Strategy,
-    ) -> Result<Engine, CorError> {
-        Engine::builder()
-            .metrics(true)
-            .build_workload(params, generated, strategy)
-    }
-
-    /// Wrap an already-built OID database (standard or clustered).
-    #[deprecated(since = "0.1.0", note = "use Engine::builder().wrap_database(db)")]
-    pub fn from_database(db: CorDatabase) -> Engine {
-        Engine::builder().wrap_database(db)
-    }
-
-    /// Wrap an already-built hierarchy chain (level 0 first).
-    #[deprecated(since = "0.1.0", note = "use Engine::builder().wrap_levels(levels)")]
-    pub fn from_levels(levels: Vec<CorDatabase>) -> Engine {
-        Engine::builder().wrap_levels(levels)
-    }
-
     /// Replace the engine's execution options.
-    ///
-    /// One caveat: `io.queue_depth` configures the buffer pool's async
-    /// submission engine, which is constructed when the pool is built.
-    /// Set it through [`EngineBuilder::exec_options`] (or inherit it
-    /// from the store's catalog on reopen); changing it here after the
-    /// pool exists does not alter the pool's I/O path.
     pub fn with_options(mut self, opts: ExecOptions) -> Self {
         self.opts = opts;
         self
@@ -1110,7 +1061,7 @@ impl Engine {
     }
 
     /// The engine-level instruments, if built with metrics enabled
-    /// ([`EngineBuilder::metrics`] or [`Engine::for_strategy_observed`]).
+    /// ([`EngineBuilder::metrics`]).
     pub fn engine_metrics(&self) -> Option<&Arc<EngineMetrics>> {
         self.metrics.as_ref()
     }
@@ -1190,29 +1141,6 @@ mod tests {
             assert_eq!(got.total_io, expected.total_io, "{strategy}");
             assert_eq!(got.values_returned, expected.values_returned, "{strategy}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_builder() {
-        let p = tiny();
-        let generated = generate(&p);
-        let sequence = generate_sequence(&p);
-        let old = Engine::for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-        let new = Engine::builder()
-            .build_workload(&p, &generated, Strategy::Dfs)
-            .unwrap();
-        let a = old.run_sequence(Strategy::Dfs, &sequence).unwrap();
-        let b = new.run_sequence(Strategy::Dfs, &sequence).unwrap();
-        assert_eq!(a.total_io, b.total_io);
-        assert_eq!(a.values_returned, b.values_returned);
-        let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-        let wrapped = Engine::from_database(db);
-        assert!(wrapped.database().is_ok());
-        assert!(Engine::for_strategy_observed(&p, &generated, Strategy::Dfs)
-            .unwrap()
-            .metrics()
-            .is_some());
     }
 
     #[test]

@@ -10,14 +10,8 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy (io_uring feature, deny warnings)"
-cargo clippy -p cor-pagestore --features io_uring --all-targets -- -D warnings
-
 echo "==> cargo test"
 cargo test --workspace -q
-
-echo "==> cargo test (io_uring feature: raw-syscall aio backend + runtime fallback)"
-cargo test -p cor-pagestore --features io_uring -q
 
 echo "==> corstat smoke (observability gate)"
 cargo run -q -p cor-bench --bin corstat -- --smoke
@@ -40,7 +34,7 @@ cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
 
-echo "==> iobench smoke (batched-I/O + queue-depth sweep gate: depth-1 identity, checksums, submission bounds)"
+echo "==> iobench smoke (batched-I/O gate: batch-1 identity + submission accounting)"
 cargo run -q --release -p cor-bench --bin iobench -- --smoke --json results/iobench/smoke.json
 
 echo "==> corperf smoke x2 (perf observatory: exact-I/O baseline + wall gate on the 2nd run)"
