@@ -30,6 +30,7 @@ use crate::AccessError;
 use cor_obs::heat::{self, PAGE_CLASS_INTERNAL, PAGE_CLASS_LEAF};
 use cor_obs::{Phase, PhaseGuard};
 use cor_pagestore::{BufferPool, PageId, NO_PAGE, PAGE_SIZE};
+use cor_relational::OID_BYTES;
 use std::sync::Arc;
 
 /// A materialized `(key, value)` entry list.
@@ -290,7 +291,7 @@ enum Fast {
 /// A B+tree relation: fixed-length keys, variable-length values.
 ///
 /// ```
-/// use cor_access::BTreeFile;
+/// use cor_access::{AccessError, BTreeFile};
 /// use cor_pagestore::{BufferPool, IoStats, MemDisk};
 /// use std::sync::Arc;
 ///
@@ -298,7 +299,13 @@ enum Fast {
 /// let tree = BTreeFile::create(pool, 8).unwrap();
 /// tree.insert(&7u64.to_be_bytes(), b"seven").unwrap();
 /// assert_eq!(tree.get(&7u64.to_be_bytes()).unwrap().unwrap(), b"seven");
-/// assert_eq!(tree.range(&0u64.to_be_bytes(), &9u64.to_be_bytes()).unwrap().count(), 1);
+/// let mut n = 0;
+/// tree.range_for_each(&0u64.to_be_bytes(), &9u64.to_be_bytes(), 0, |_, _| {
+///     n += 1;
+///     Ok::<_, AccessError>(())
+/// })
+/// .unwrap();
+/// assert_eq!(n, 1);
 /// ```
 pub struct BTreeFile {
     pool: Arc<BufferPool>,
@@ -1244,134 +1251,199 @@ impl BTreeFile {
         Ok(total)
     }
 
-    /// Inclusive range scan `lo..=hi`.
-    pub fn range(&self, lo: &[u8], hi: &[u8]) -> Result<BTreeRange, AccessError> {
-        if lo.len() != self.key_len || hi.len() != self.key_len {
-            return Err(AccessError::BadKeyLen(lo.len().max(hi.len())));
-        }
-        let start_leaf = self.find_leaf(lo)?;
-        Ok(BTreeRange {
-            pool: Arc::clone(&self.pool),
-            key_len: self.key_len,
-            next_leaf: start_leaf,
-            lo: lo.to_vec(),
-            hi: hi.to_vec(),
-            buffered: std::collections::VecDeque::new(),
-            done: false,
-            readahead: Readahead::new(0, self.ra_end.get()),
-        })
-    }
-
-    /// Scan every entry in key order.
-    pub fn scan_all(&self) -> BTreeRange {
-        BTreeRange {
-            pool: Arc::clone(&self.pool),
-            key_len: self.key_len,
-            next_leaf: self.first_leaf.get(),
-            lo: vec![0u8; self.key_len],
-            hi: vec![0xFFu8; self.key_len],
-            buffered: std::collections::VecDeque::new(),
-            done: false,
-            readahead: Readahead::new(0, self.ra_end.get()),
-        }
-    }
-
-    /// Merge join: look up every key of the ascending (possibly
-    /// duplicated) stream `keys` by co-scanning the leaf chain, calling `f`
-    /// with the value of each key that is present — once per occurrence,
-    /// like the paper's `person.OID = temp.OID` join against a `temp` that
-    /// may hold duplicates.
+    /// Visit the entries `lo..=hi` (inclusive) in key order: `f` sees
+    /// each `(key, value)` borrowed from a copy of its leaf, so nothing is
+    /// allocated per entry. Descends to the leaf holding `lo`, then reads
+    /// the leaf chain up to and including the leaf that reveals a key past
+    /// `hi`. A failed page read, or an error from `f`, stops the scan and
+    /// is returned.
     ///
     /// Each leaf is copied into one reused page buffer and unpinned before
-    /// its entries are compared, so a lookup allocates nothing per entry.
-    /// Keys are pulled lazily and leaves are read only when the cursor
-    /// must pass the last entry of the current one: the interleaving of
-    /// key pulls (which may read sort-run pages through the same pool)
-    /// and leaf reads is exactly that of a merge of `keys` against
-    /// [`Self::scan_all`]. The join stops, without pulling further keys,
-    /// once the leaves are exhausted. `readahead` is the window of
-    /// [`BTreeRange::with_readahead`].
-    pub fn merge_lookup<K: AsRef<[u8]>>(
+    /// `f` sees its entries, so `f` may use the pool: the next leaf is read
+    /// only after `f` has seen every entry of the current one. `f` runs
+    /// outside the leaf fetch's `HeapFetch` phase bracket, under the
+    /// caller's phase.
+    ///
+    /// `readahead` enables sequential readahead: whenever the scan reaches
+    /// a leaf past the current horizon, the page ids up to `readahead`
+    /// ahead — clamped to the tree's bulk-loaded leaf run, whose pids are
+    /// consecutive in key order — are prefetched in one batched
+    /// submission. On trees whose run has been broken by splits or merges
+    /// the clamp is unknown and readahead stays off; prefetch is a pure
+    /// hint and the entries visited are identical either way. `0` disables
+    /// readahead. The window ramps: the first prefetch covers at most 4
+    /// pages and each subsequent one doubles up to `readahead`, so a short
+    /// scan wastes at most a few speculative pages while a long one still
+    /// reaches full-window coalescing.
+    pub fn range_for_each<E: From<AccessError>>(
         &self,
-        keys: impl IntoIterator<Item = K>,
+        lo: &[u8],
+        hi: &[u8],
         readahead: usize,
-        mut f: impl FnMut(&[u8]),
-    ) -> Result<(), AccessError> {
-        let mut leaves = LeafCursor {
-            pool: &self.pool,
-            page: Box::new([0u8; PAGE_SIZE]),
-            count: 0,
-            pos: 0,
-            next_leaf: self.first_leaf.get(),
-            readahead: Readahead::new(readahead, self.ra_end.get()),
-        };
+        f: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if lo.len() != self.key_len || hi.len() != self.key_len {
+            return Err(AccessError::BadKeyLen(lo.len().max(hi.len())).into());
+        }
+        let start = self.find_leaf(lo)?;
+        self.walk_leaves(start, lo, hi, readahead, f)
+    }
+
+    /// Visit every entry in key order, as [`Self::range_for_each`] does,
+    /// but starting at the first leaf without a root-to-leaf descent and
+    /// without readahead.
+    pub fn scan_for_each<E: From<AccessError>>(
+        &self,
+        f: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let hi = vec![0xFFu8; self.key_len];
+        self.walk_leaves(self.first_leaf.get(), &[], &hi, 0, f)
+    }
+
+    /// Walk the leaf chain from `start`, visiting the entries `lo..=hi`.
+    fn walk_leaves<E: From<AccessError>>(
+        &self,
+        start: PageId,
+        lo: &[u8],
+        hi: &[u8],
+        readahead: usize,
+        mut f: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let kl = self.key_len;
-        let mut current = None;
-        for key in keys {
-            let key = key.as_ref();
-            loop {
-                let Some(i) = current else {
-                    current = leaves.advance()?;
-                    if current.is_none() {
-                        return Ok(());
-                    }
-                    continue;
-                };
-                match node::entry_key(&leaves.page[..], i, kl).cmp(key) {
-                    std::cmp::Ordering::Less => current = leaves.advance()?,
-                    std::cmp::Ordering::Equal => {
-                        f(node::entry_val(&leaves.page[..], i, kl));
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => break,
+        let mut leaf = self.leaf_cursor(start, readahead);
+        while leaf.read_next()? {
+            let d = &leaf.page[..];
+            let (Ok(from) | Err(from)) = node::search(d, lo, kl);
+            for i in from..leaf.count {
+                let k = node::entry_key(d, i, kl);
+                if k > hi {
+                    return Ok(());
                 }
+                f(k, node::entry_val(d, i, kl))?;
             }
         }
         Ok(())
     }
+
+    /// Merge join: look up every key of the ascending (possibly
+    /// duplicated) stream of packed OID keys `keys` (see
+    /// [`pack_key`](crate::sort::pack_key)) by co-scanning the leaf chain,
+    /// calling `f` with the value of each key that is present — once per
+    /// occurrence, like the paper's `person.OID = temp.OID` join against a
+    /// `temp` that may hold duplicates. The tree's keys must be OID keys
+    /// ([`OID_BYTES`] long), or this returns [`AccessError::BadKeyLen`]. An
+    /// error in `keys` or from `f` stops the join and is returned.
+    ///
+    /// Each leaf is copied into one reused page buffer and unpinned before
+    /// its entries are compared, so a lookup allocates nothing. A key past
+    /// the leaf's last entry moves on to the next leaf after one
+    /// comparison; otherwise a binary search from the cursor finds it.
+    /// Keys are pulled lazily and leaves are read only when a key lies
+    /// past the last entry of the current one: the interleaving of key
+    /// pulls (which may read sort-run pages through the same pool) and
+    /// leaf reads is exactly that of a merge of `keys` against a lazy
+    /// leaf-at-a-time scan of the whole chain. The join stops, without
+    /// pulling further keys, once the leaves are exhausted. `readahead` is
+    /// the window of [`Self::range_for_each`].
+    pub fn merge_lookup<E: From<AccessError>>(
+        &self,
+        keys: impl IntoIterator<Item = Result<u128, AccessError>>,
+        readahead: usize,
+        mut f: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.key_len != OID_BYTES {
+            return Err(AccessError::BadKeyLen(self.key_len).into());
+        }
+        let mut leaf = self.leaf_cursor(self.first_leaf.get(), readahead);
+        // The first entry not yet passed, and the packed key of the leaf's
+        // last entry.
+        let (mut pos, mut last) = (0, 0);
+        for key in keys {
+            let key = key?;
+            while pos == leaf.count || last < key {
+                if !leaf.read_next()? {
+                    return Ok(());
+                }
+                pos = 0;
+                if leaf.count > 0 {
+                    last = leaf.packed_key(leaf.count - 1);
+                }
+            }
+            pos = leaf.seek(pos, key);
+            if leaf.packed_key(pos) == key {
+                f(node::entry_val(&leaf.page[..], pos, OID_BYTES))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn leaf_cursor(&self, start: PageId, readahead: usize) -> LeafCursor<'_> {
+        LeafCursor {
+            pool: &self.pool,
+            key_len: self.key_len,
+            page: Box::new([0u8; PAGE_SIZE]),
+            count: 0,
+            next_leaf: start,
+            readahead: Readahead::new(readahead, self.ra_end.get()),
+        }
+    }
 }
 
-/// The leaf side of [`BTreeFile::merge_lookup`]: a copy of the current
-/// leaf and the position of the next entry to hand out.
+/// A walk along the leaf chain that holds a copy of the current leaf, so
+/// its entries can be read with nothing pinned.
 struct LeafCursor<'a> {
     pool: &'a BufferPool,
+    key_len: usize,
     page: Box<[u8; PAGE_SIZE]>,
     count: usize,
-    pos: usize,
     next_leaf: PageId,
     readahead: Readahead,
 }
 
 impl LeafCursor<'_> {
-    /// Index in `page` of the next entry in key order, reading (and
-    /// copying) the next non-empty leaf when the current one is used up;
-    /// `None` past the last leaf.
-    fn advance(&mut self) -> Result<Option<usize>, AccessError> {
-        loop {
-            if self.pos < self.count {
-                self.pos += 1;
-                return Ok(Some(self.pos - 1));
-            }
-            if self.next_leaf == NO_PAGE {
-                return Ok(None);
-            }
-            let leaf = self.next_leaf;
-            self.readahead.before_leaf(self.pool, leaf);
-            let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-            heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
-            let page = &mut self.page;
-            self.next_leaf = self.pool.read(leaf, |p| {
-                page.copy_from_slice(p.bytes());
-                node::next(p.bytes())
-            })?;
-            self.count = node::count(&self.page[..]);
-            self.pos = 0;
+    /// Read (and copy) the next leaf of the chain; `false` past the last.
+    fn read_next(&mut self) -> Result<bool, AccessError> {
+        if self.next_leaf == NO_PAGE {
+            return Ok(false);
         }
+        let leaf = self.next_leaf;
+        self.readahead.before_leaf(self.pool, leaf);
+        let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
+        heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
+        let page = &mut self.page;
+        self.next_leaf = self.pool.read(leaf, |p| {
+            page.copy_from_slice(p.bytes());
+            node::next(p.bytes())
+        })?;
+        self.count = node::count(&self.page[..]);
+        Ok(true)
+    }
+
+    /// Packed key of entry `i` of a tree of OID keys.
+    fn packed_key(&self, i: usize) -> u128 {
+        let key = node::entry_key(&self.page[..], i, self.key_len);
+        crate::sort::pack_key(key.try_into().expect("an OID-keyed tree"))
+    }
+
+    /// The first entry at or after `from` whose key is `>= key`, by binary
+    /// search. Keys arrive ascending, so every entry before `from` is
+    /// smaller.
+    fn seek(&self, from: usize, key: u128) -> usize {
+        let (mut lo, mut hi) = (from, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.packed_key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
-/// Sequential leaf readahead shared by [`BTreeRange`] and
-/// [`BTreeFile::merge_lookup`] (see [`BTreeRange::with_readahead`]).
+/// Sequential leaf readahead of a [`LeafCursor`] (see
+/// [`BTreeFile::range_for_each`]).
 struct Readahead {
     /// Full window in pages; 0 disables readahead.
     window: usize,
@@ -1408,80 +1480,6 @@ impl Readahead {
     }
 }
 
-/// Streaming, leaf-at-a-time range scan (see [`BTreeFile::range`]).
-pub struct BTreeRange {
-    pool: Arc<BufferPool>,
-    key_len: usize,
-    next_leaf: PageId,
-    lo: Vec<u8>,
-    hi: Vec<u8>,
-    buffered: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
-    done: bool,
-    readahead: Readahead,
-}
-
-impl BTreeRange {
-    /// Enable sequential readahead: whenever the scan reaches a leaf past
-    /// the current horizon, the page ids up to `window` ahead — clamped
-    /// to the tree's bulk-loaded leaf run, whose pids are consecutive in
-    /// key order — are prefetched in one batched submission. On trees
-    /// whose run has been broken by splits or merges the clamp is
-    /// unknown and readahead stays off; prefetch is a pure hint and the
-    /// entries yielded are identical either way. `window == 0` (the
-    /// default) disables readahead entirely.
-    ///
-    /// The window ramps: the first prefetch covers at most 4 pages and
-    /// each subsequent one doubles up to `window`, so a short scan
-    /// wastes at most a few speculative pages while a long one still
-    /// reaches full-window coalescing.
-    pub fn with_readahead(mut self, window: usize) -> Self {
-        self.readahead = Readahead::new(window, self.readahead.end);
-        self
-    }
-}
-
-impl Iterator for BTreeRange {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.buffered.pop_front() {
-                return Some(item);
-            }
-            if self.done || self.next_leaf == NO_PAGE {
-                return None;
-            }
-            let leaf = self.next_leaf;
-            self.readahead.before_leaf(&self.pool, leaf);
-            let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-            heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
-            let (entries, next, past_hi) = self
-                .pool
-                .read(leaf, |p| {
-                    let d = p.bytes();
-                    let mut out = Vec::new();
-                    let mut past = false;
-                    for i in 0..node::count(d) {
-                        let k = node::entry_key(d, i, self.key_len);
-                        if k < self.lo.as_slice() {
-                            continue;
-                        }
-                        if k > self.hi.as_slice() {
-                            past = true;
-                            break;
-                        }
-                        out.push((k.to_vec(), node::entry_val(d, i, self.key_len).to_vec()));
-                    }
-                    (out, node::next(d), past)
-                })
-                .expect("leaf chain page must be readable");
-            self.next_leaf = next;
-            self.done = past_hi;
-            self.buffered.extend(entries);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1496,13 +1494,67 @@ mod tests {
         k.to_be_bytes().to_vec()
     }
 
+    /// An OID-length key whose low 8 bytes are `k`.
+    fn oid_key(k: u64) -> Vec<u8> {
+        let mut key = vec![0u8; OID_BYTES];
+        key[OID_BYTES - 8..].copy_from_slice(&k.to_be_bytes());
+        key
+    }
+
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// The entries `lo..=hi`, copied out of [`BTreeFile::range_for_each`].
+    fn range(t: &BTreeFile, lo: &[u8], hi: &[u8], readahead: usize) -> Entries {
+        let mut out = Vec::new();
+        t.range_for_each(lo, hi, readahead, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            Ok::<_, AccessError>(())
+        })
+        .unwrap();
+        out
+    }
+
+    /// Every entry, copied out of [`BTreeFile::scan_for_each`].
+    fn scan(t: &BTreeFile) -> Entries {
+        let mut out = Vec::new();
+        t.scan_for_each(|k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            Ok::<_, AccessError>(())
+        })
+        .unwrap();
+        out
+    }
+
+    /// The whole leaf chain as a lazy iterator that reads a leaf when the
+    /// entries of the previous one are used up: the right-hand input of
+    /// the [`merge_join`] oracle.
+    fn chain(t: &BTreeFile, readahead: usize) -> impl Iterator<Item = (Vec<u8>, Vec<u8>)> + '_ {
+        let mut leaf = t.leaf_cursor(t.first_leaf.get(), readahead);
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            while pos == leaf.count {
+                if !leaf.read_next().expect("leaf chain page must be readable") {
+                    return None;
+                }
+                pos = 0;
+            }
+            pos += 1;
+            let d = &leaf.page[..];
+            let (k, v) = (
+                node::entry_key(d, pos - 1, t.key_len),
+                node::entry_val(d, pos - 1, t.key_len),
+            );
+            Some((k.to_vec(), v.to_vec()))
+        })
+    }
+
     #[test]
     fn empty_tree_behaviour() {
         let t = BTreeFile::create(pool(8), 8).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.get(&key8(5)).unwrap(), None);
-        assert_eq!(t.scan_all().count(), 0);
-        assert_eq!(t.range(&key8(0), &key8(100)).unwrap().count(), 0);
+        assert_eq!(scan(&t).len(), 0);
+        assert_eq!(range(&t, &key8(0), &key8(100), 0).len(), 0);
         assert!(!t.delete(&key8(1)).unwrap());
     }
 
@@ -1559,8 +1611,8 @@ mod tests {
             assert_eq!(t.get(&key8(*key)).unwrap().unwrap(), *val, "key {key}");
         }
         // Full scan is sorted and complete.
-        let scanned: Vec<u64> = t
-            .scan_all()
+        let scanned: Vec<u64> = scan(&t)
+            .into_iter()
             .map(|(k, _)| u64::from_be_bytes(k.try_into().unwrap()))
             .collect();
         let expect: Vec<u64> = model.keys().copied().collect();
@@ -1573,9 +1625,8 @@ mod tests {
         for k in 0..100u64 {
             t.insert(&key8(k), &[k as u8]).unwrap();
         }
-        let got: Vec<u64> = t
-            .range(&key8(10), &key8(20))
-            .unwrap()
+        let got: Vec<u64> = range(&t, &key8(10), &key8(20), 0)
+            .into_iter()
             .map(|(k, _)| u64::from_be_bytes(k.try_into().unwrap()))
             .collect();
         assert_eq!(got, (10..=20).collect::<Vec<_>>());
@@ -1588,7 +1639,7 @@ mod tests {
             t.insert(&key8(k), &[0u8; 64]).unwrap();
         }
         assert!(t.leaf_pages() > 1);
-        let got = t.range(&key8(100), &key8(899)).unwrap().count();
+        let got = range(&t, &key8(100), &key8(899), 0).len();
         assert_eq!(got, 800);
     }
 
@@ -1629,7 +1680,7 @@ mod tests {
         for (k, v) in entries.iter().step_by(97) {
             assert_eq!(t.get(k).unwrap().unwrap(), *v);
         }
-        let scanned: Vec<Vec<u8>> = t.scan_all().map(|(k, _)| k).collect();
+        let scanned: Vec<Vec<u8>> = scan(&t).into_iter().map(|(k, _)| k).collect();
         let expect: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(scanned, expect);
         // Tree accepts further inserts after bulk load.
@@ -1656,7 +1707,7 @@ mod tests {
     fn bulk_load_empty_gives_empty_tree() {
         let t = BTreeFile::bulk_load(pool(8), 8, Vec::new(), DEFAULT_FILL).unwrap();
         assert!(t.is_empty());
-        assert_eq!(t.scan_all().count(), 0);
+        assert_eq!(scan(&t).len(), 0);
     }
 
     #[test]
@@ -1726,8 +1777,8 @@ mod tests {
             t.height()
         );
         // Survivors intact, in order, and the tree still accepts inserts.
-        let keys: Vec<u64> = t
-            .scan_all()
+        let keys: Vec<u64> = scan(&t)
+            .into_iter()
             .map(|(k, _)| u64::from_be_bytes(k.try_into().unwrap()))
             .collect();
         assert_eq!(keys, (0..5000).step_by(100).collect::<Vec<_>>());
@@ -1775,7 +1826,7 @@ mod tests {
         }
         assert!(t.is_empty());
         t.validate().unwrap();
-        assert_eq!(t.scan_all().count(), 0);
+        assert_eq!(scan(&t).len(), 0);
         // Reuse after total deletion.
         t.insert(&key8(42), b"back").unwrap();
         assert_eq!(t.get(&key8(42)).unwrap().unwrap(), b"back");
@@ -1881,10 +1932,12 @@ mod tests {
             .collect();
         let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
 
+        let (lo, hi) = (key8(0), key8(u64::MAX));
         p.flush_and_clear().unwrap();
-        let plain: Vec<(Vec<u8>, Vec<u8>)> = t.scan_all().collect();
+        let plain = range(&t, &lo, &hi, 0);
         p.flush_and_clear().unwrap();
-        let ahead: Vec<(Vec<u8>, Vec<u8>)> = t.scan_all().with_readahead(8).collect();
+        let ahead = range(&t, &lo, &hi, 8);
+        assert_eq!(plain.len(), 3000);
         assert_eq!(plain, ahead);
         assert!(
             p.stats().prefetch_issued() > 0,
@@ -1897,12 +1950,8 @@ mod tests {
 
         // Bounded range scans are unaffected in content too.
         p.flush_and_clear().unwrap();
-        let r1: Vec<_> = t.range(&key8(500), &key8(700)).unwrap().collect();
-        let r2: Vec<_> = t
-            .range(&key8(500), &key8(700))
-            .unwrap()
-            .with_readahead(4)
-            .collect();
+        let r1 = range(&t, &key8(500), &key8(700), 0);
+        let r2 = range(&t, &key8(500), &key8(700), 4);
         assert_eq!(r1, r2);
     }
 
@@ -1954,8 +2003,15 @@ mod tests {
 
     #[test]
     fn merge_lookup_matches_merge_join_values_and_io() {
-        use crate::external_sort;
+        use crate::sort::{external_sort, pack_key, unpack_key, SortedStream};
         use cor_pagestore::ReplacementPolicy;
+
+        let sort = |p: &Arc<BufferPool>, input: &[Vec<u8>], work_mem: usize| -> SortedStream {
+            let keys = input
+                .iter()
+                .map(|k| Ok(pack_key(k.as_slice().try_into().unwrap())));
+            external_sort(p, keys, work_mem, false).unwrap()
+        };
 
         // Even keys only, so odd lookups miss inside the leaf range.
         let rig = |policy: ReplacementPolicy, frames: usize| {
@@ -1969,12 +2025,12 @@ mod tests {
                 .step_by(2)
                 .map(|k| {
                     (
-                        key8(k),
+                        oid_key(k),
                         format!("value-{k:06}-{}", "x".repeat(40)).into_bytes(),
                     )
                 })
                 .collect();
-            let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
+            let t = BTreeFile::bulk_load(Arc::clone(&p), OID_BYTES, entries, DEFAULT_FILL).unwrap();
             p.flush_and_clear().unwrap();
             (p, t)
         };
@@ -1984,10 +2040,10 @@ mod tests {
                 scrambled = scrambled
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                key8((scrambled >> 33) % 1600)
+                oid_key((scrambled >> 33) % 1600)
             })
             .collect();
-        let sorted = |keys: &[u64]| keys.iter().map(|&k| key8(k)).collect::<Vec<_>>();
+        let sorted = |keys: &[u64]| keys.iter().map(|&k| oid_key(k)).collect::<Vec<_>>();
         // (name, key input, sort work memory): a small budget spills runs
         // that are read back through the same pool while leaves stream.
         let cases: Vec<(&str, Vec<Vec<u8>>, usize)> = vec![
@@ -2013,11 +2069,10 @@ mod tests {
 
                         let (p, t) = rig(policy, frames);
                         let keys =
-                            external_sort(&p, input.clone().into_iter(), *work_mem, false).unwrap();
-                        let want: Vec<Vec<u8>> =
-                            merge_join(keys, t.scan_all().with_readahead(readahead))
-                                .map(|(_, v)| v)
-                                .collect();
+                            sort(&p, input, *work_mem).map(|k| unpack_key(k.unwrap()).to_vec());
+                        let want: Vec<Vec<u8>> = merge_join(keys, chain(&t, readahead))
+                            .map(|(_, v)| v)
+                            .collect();
                         let want_io = (
                             p.stats().reads(),
                             p.stats().writes(),
@@ -2025,11 +2080,12 @@ mod tests {
                         );
 
                         let (p, t) = rig(policy, frames);
-                        let keys =
-                            external_sort(&p, input.clone().into_iter(), *work_mem, false).unwrap();
                         let mut got = Vec::new();
-                        t.merge_lookup(keys, readahead, |v| got.push(v.to_vec()))
-                            .unwrap();
+                        t.merge_lookup(sort(&p, input, *work_mem), readahead, |v| {
+                            got.push(v.to_vec());
+                            Ok::<_, AccessError>(())
+                        })
+                        .unwrap();
                         let got_io = (
                             p.stats().reads(),
                             p.stats().writes(),
@@ -2048,14 +2104,26 @@ mod tests {
     fn merge_lookup_reports_each_matching_occurrence() {
         let t = BTreeFile::bulk_load(
             pool(8),
-            8,
-            [1u64, 2, 3, 5, 8].map(|k| (key8(k), format!("v{k}").into_bytes())),
+            OID_BYTES,
+            [1u64, 2, 3, 5, 8].map(|k| (oid_key(k), format!("v{k}").into_bytes())),
             DEFAULT_FILL,
         )
         .unwrap();
         let mut got = Vec::new();
-        let keys = [0u64, 3, 3, 3, 4, 5, 9].map(key8);
-        t.merge_lookup(keys, 0, |v| got.push(v.to_vec())).unwrap();
+        let keys = [0u64, 3, 3, 3, 4, 5, 9]
+            .map(|k| Ok(crate::pack_key(oid_key(k).as_slice().try_into().unwrap())));
+        t.merge_lookup(keys, 0, |v| {
+            got.push(v.to_vec());
+            Ok::<_, AccessError>(())
+        })
+        .unwrap();
         assert_eq!(got, [b"v3", b"v3", b"v3", b"v5"].map(|v| v.to_vec()));
+
+        // Packed keys are OID keys: another key width is an error.
+        let t8 = BTreeFile::bulk_load(pool(8), 8, [(key8(1), vec![])], DEFAULT_FILL).unwrap();
+        let err = t8
+            .merge_lookup([Ok(0)], 0, |_| Ok::<_, AccessError>(()))
+            .unwrap_err();
+        assert!(matches!(err, AccessError::BadKeyLen(8)));
     }
 }

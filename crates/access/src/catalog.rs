@@ -643,8 +643,13 @@ mod tests {
                 format!("value-{k}").into_bytes()
             );
         }
-        let range: Vec<_> = tree.range(&key8(10), &key8(12)).unwrap().collect();
-        assert_eq!(range.len(), 3);
+        let mut range = 0;
+        tree.range_for_each(&key8(10), &key8(12), 0, |_, _| {
+            range += 1;
+            Ok::<_, AccessError>(())
+        })
+        .unwrap();
+        assert_eq!(range, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

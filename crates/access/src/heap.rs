@@ -41,7 +41,7 @@ pub struct HeapMeta {
 /// let temp = HeapFile::create(pool).unwrap();
 /// temp.append(b"oid-1").unwrap();
 /// temp.append(b"oid-2").unwrap();
-/// assert_eq!(temp.scan().count(), 2);
+/// assert_eq!(temp.len(), 2);
 /// ```
 pub struct HeapFile {
     pool: Arc<BufferPool>,
@@ -67,6 +67,24 @@ impl HeapFile {
             pages: crate::sync_cell::SyncCell::new(1),
             allocated: Mutex::new(vec![first]),
         })
+    }
+
+    /// Create a temporary holding `records`, in order, and force its pages
+    /// to disk ([`Self::append_all`], then [`Self::flush`]), so the
+    /// temporary's formation is charged its writes. A temporary that fails
+    /// to form is destroyed before the error is returned.
+    pub fn materialize<R: AsRef<[u8]>>(
+        pool: Arc<BufferPool>,
+        records: &[R],
+    ) -> Result<Self, BufferError> {
+        let temp = HeapFile::create(pool)?;
+        match temp.append_all(records).and_then(|()| temp.flush()) {
+            Ok(()) => Ok(temp),
+            Err(e) => {
+                temp.destroy()?;
+                Err(e)
+            }
+        }
     }
 
     /// The buffer pool this file lives in.
@@ -225,52 +243,27 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Stream all records in chain order. Each step buffers one page's
-    /// records, so the scan costs one page read per chained page (when the
-    /// page is not already resident).
-    pub fn scan(&self) -> HeapScan {
-        HeapScan {
-            pool: Arc::clone(&self.pool),
-            next_page: self.first,
-            buffered: std::collections::VecDeque::new(),
-        }
+    /// First page of the chain, where a walk with
+    /// [`Self::for_each_record`] starts.
+    pub fn first_page(&self) -> PageId {
+        self.first
     }
-}
 
-/// Streaming scan over a heap file (see [`HeapFile::scan`]).
-pub struct HeapScan {
-    pool: Arc<BufferPool>,
-    next_page: PageId,
-    buffered: std::collections::VecDeque<(RecordId, Vec<u8>)>,
-}
-
-impl Iterator for HeapScan {
-    type Item = (RecordId, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.buffered.pop_front() {
-                return Some(item);
+    /// Call `f` on every live record of chain page `page`, in slot order,
+    /// and return the page that follows it (`NO_PAGE` after the tail).
+    /// Costs one page read when the page is not resident. `f` runs while
+    /// the page is pinned, so it must not use the pool.
+    pub fn for_each_record(
+        &self,
+        page: PageId,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<PageId, BufferError> {
+        self.pool.read(page, |p| {
+            for (_, rec) in p.records() {
+                f(rec);
             }
-            if self.next_page == NO_PAGE {
-                return None;
-            }
-            let page = self.next_page;
-            let (records, next) = self
-                .pool
-                .read(page, |p| {
-                    let recs: Vec<(SlotId, Vec<u8>)> =
-                        p.records().map(|(s, r)| (s, r.to_vec())).collect();
-                    (recs, p.next())
-                })
-                .expect("heap chain page must be readable");
-            self.next_page = next;
-            self.buffered.extend(
-                records
-                    .into_iter()
-                    .map(|(slot, rec)| (RecordId { page, slot }, rec)),
-            );
-        }
+            p.next()
+        })
     }
 }
 
@@ -282,6 +275,18 @@ mod tests {
         Arc::new(BufferPool::builder().capacity(frames).build())
     }
 
+    /// Every live record, in chain order, through the page visitor.
+    fn chain_records(heap: &HeapFile) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut page = heap.first_page();
+        while page != NO_PAGE {
+            page = heap
+                .for_each_record(page, |r| out.push(r.to_vec()))
+                .unwrap();
+        }
+        out
+    }
+
     #[test]
     fn append_and_scan_preserve_order_within_pages() {
         let heap = HeapFile::create(pool(8)).unwrap();
@@ -290,7 +295,7 @@ mod tests {
             heap.append(r).unwrap();
         }
         assert_eq!(heap.len(), 100);
-        let scanned: Vec<Vec<u8>> = heap.scan().map(|(_, r)| r).collect();
+        let scanned = chain_records(&heap);
         assert_eq!(scanned, records);
     }
 
@@ -305,7 +310,7 @@ mod tests {
             heap.num_pages() > 1,
             "200-byte x50 must overflow one 2KB page"
         );
-        assert_eq!(heap.scan().count(), 50);
+        assert_eq!(chain_records(&heap).len(), 50);
     }
 
     #[test]
@@ -329,7 +334,7 @@ mod tests {
         let c = heap.append(b"c").unwrap();
         heap.delete(a).unwrap();
         heap.delete(c).unwrap();
-        let left: Vec<Vec<u8>> = heap.scan().map(|(_, r)| r).collect();
+        let left = chain_records(&heap);
         assert_eq!(left, vec![b"b".to_vec()]);
     }
 
@@ -345,7 +350,7 @@ mod tests {
         assert!(pages >= 10);
         p.flush_and_clear().unwrap();
         let before = p.stats().reads();
-        assert_eq!(heap.scan().count(), 90);
+        assert_eq!(chain_records(&heap).len(), 90);
         let reads = p.stats().reads() - before;
         assert_eq!(reads, pages, "cold scan should read each page exactly once");
     }
@@ -353,7 +358,7 @@ mod tests {
     #[test]
     fn empty_heap_scans_nothing() {
         let heap = HeapFile::create(pool(2)).unwrap();
-        assert_eq!(heap.scan().count(), 0);
+        assert!(chain_records(&heap).is_empty());
         assert!(heap.is_empty());
     }
 
@@ -459,6 +464,6 @@ mod tests {
             allocated,
             "a new file extends the store"
         );
-        assert_eq!(keep.scan().count(), 1);
+        assert_eq!(chain_records(&keep), vec![b"kept".to_vec()]);
     }
 }

@@ -53,9 +53,13 @@ impl IsamIndex {
         self.tree.height()
     }
 
-    /// Scan all `(key, payload)` pairs in key order.
-    pub fn scan_all(&self) -> impl Iterator<Item = (Vec<u8>, Vec<u8>)> {
-        self.tree.scan_all()
+    /// Visit all `(key, payload)` pairs in key order (see
+    /// [`BTreeFile::scan_for_each`]).
+    pub fn scan_for_each<E: From<AccessError>>(
+        &self,
+        f: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.tree.scan_for_each(f)
     }
 
     /// Snapshot of the index's metadata for catalog persistence.
@@ -122,10 +126,12 @@ mod tests {
     fn scan_all_in_order() {
         let entries: Vec<_> = (0..100u64).map(|k| (key8(k), vec![])).collect();
         let idx = IsamIndex::build(pool(8), 8, entries).unwrap();
-        let keys: Vec<u64> = idx
-            .scan_all()
-            .map(|(k, _)| u64::from_be_bytes(k.try_into().unwrap()))
-            .collect();
+        let mut keys: Vec<u64> = Vec::new();
+        idx.scan_for_each(|k, _| {
+            keys.push(u64::from_be_bytes(k.try_into().unwrap()));
+            Ok::<_, AccessError>(())
+        })
+        .unwrap();
         assert_eq!(keys, (0..100).collect::<Vec<_>>());
     }
 }

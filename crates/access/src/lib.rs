@@ -10,7 +10,8 @@
 //! * [`isam`] — the static ISAM index kept on `ClusterRel.OID`;
 //! * [`hash`] — static hash files (the `Cache` relation is "maintained as
 //!   a hash relation, hashed on hashkey");
-//! * [`sort`] — external merge sort feeding the BFS merge join;
+//! * [`sort`] — external merge sort of packed OID keys feeding the
+//!   BFS merge join;
 //! * [`record`] — the tuple ⇄ byte-record codec.
 
 #![warn(missing_docs)]
@@ -25,14 +26,17 @@ pub mod scan;
 pub mod sort;
 mod sync_cell;
 
-pub use btree::{BTreeFile, BTreeMeta, BTreeRange, DEFAULT_FILL, MAX_BTREE_ENTRY};
+pub use btree::{BTreeFile, BTreeMeta, DEFAULT_FILL, MAX_BTREE_ENTRY};
 pub use catalog::{Catalog, CatalogError, FileMeta};
 pub use hash::{fnv1a64, HashFile, HashMeta};
-pub use heap::{HeapFile, HeapMeta, HeapScan, RecordId};
+pub use heap::{HeapFile, HeapMeta, RecordId};
 pub use isam::IsamIndex;
-pub use record::{decode, encode, CodecError};
+pub use record::{decode, encode, project, CodecError, OidListRef, Projection};
 pub use scan::{count_where, scan_where};
-pub use sort::{external_sort, SortedStream, DEFAULT_WORK_MEM};
+pub use sort::{
+    external_sort, heap_keys, pack_key, sort_mem, sort_temp, unpack_key, SortedStream,
+    DEFAULT_WORK_MEM,
+};
 
 use cor_pagestore::BufferError;
 

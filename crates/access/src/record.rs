@@ -117,6 +117,73 @@ pub fn decode(schema: &Schema, mut bytes: &[u8]) -> Result<Tuple, CodecError> {
     Ok(Tuple::new(values))
 }
 
+/// The columns a scan of complex objects reads, borrowed from an encoded
+/// record: the record's first `Oid`, `OidList` and `Bytes` columns. See
+/// [`project`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Projection<'a> {
+    /// The first `Oid` column.
+    pub oid: Oid,
+    /// The first `OidList` column.
+    pub oids: OidListRef<'a>,
+    /// The first `Bytes` column.
+    pub bytes: &'a [u8],
+}
+
+/// An encoded OID list borrowed from a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OidListRef<'a>(&'a [u8]);
+
+impl<'a> OidListRef<'a> {
+    /// The OIDs, in list order.
+    pub fn iter(&self) -> impl Iterator<Item = Oid> + 'a {
+        self.0
+            .chunks_exact(OID_BYTES)
+            .map(|c| Oid::from_key_bytes(c).expect("chunks are OID_BYTES long"))
+    }
+}
+
+/// Read the `Oid`, `OidList` and `Bytes` columns of a record encoded under
+/// `schema` without decoding the rest: `Int` and `Str` columns are skipped
+/// by their length (a skipped string's UTF-8 is not checked), and nothing
+/// is copied or allocated. Every column is walked, so a record [`decode`]
+/// reports as truncated is [`CodecError::Truncated`] here too; a schema
+/// lacking one of the three column types is [`CodecError::SchemaMismatch`].
+pub fn project<'a>(schema: &Schema, mut bytes: &'a [u8]) -> Result<Projection<'a>, CodecError> {
+    let (mut oid, mut oids, mut payload) = (None, None, None);
+    for col in schema.columns() {
+        match col.ty {
+            ValueType::Int => {
+                take(&mut bytes, 8)?;
+            }
+            ValueType::Str => {
+                let len = take_u16(&mut bytes)? as usize;
+                take(&mut bytes, len)?;
+            }
+            ValueType::Oid => {
+                let chunk = take(&mut bytes, OID_BYTES)?;
+                if oid.is_none() {
+                    oid = Oid::from_key_bytes(chunk);
+                }
+            }
+            ValueType::OidList => {
+                let n = take_u16(&mut bytes)? as usize;
+                let chunk = take(&mut bytes, n * OID_BYTES)?;
+                oids.get_or_insert(OidListRef(chunk));
+            }
+            ValueType::Bytes => {
+                let len = take_u16(&mut bytes)? as usize;
+                let chunk = take(&mut bytes, len)?;
+                payload.get_or_insert(chunk);
+            }
+        }
+    }
+    match (oid, oids, payload) {
+        (Some(oid), Some(oids), Some(bytes)) => Ok(Projection { oid, oids, bytes }),
+        _ => Err(CodecError::SchemaMismatch),
+    }
+}
+
 fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
     if bytes.len() < n {
         return Err(CodecError::Truncated);
@@ -205,6 +272,53 @@ mod tests {
         let t = Tuple::new(vec![Value::Bytes(vec![]), Value::Int(0)]);
         let bytes = encode(&s, &t).unwrap();
         assert_eq!(decode(&s, &bytes).unwrap(), t);
+    }
+
+    fn parent_like() -> (Schema, Tuple) {
+        let s = Schema::new(&[
+            ("oid", ValueType::Oid),
+            ("ret1", ValueType::Int),
+            ("dummy", ValueType::Str),
+            ("children", ValueType::OidList),
+            ("cached", ValueType::Bytes),
+        ]);
+        let t = Tuple::new(vec![
+            Value::Oid(Oid::new(1, 42)),
+            Value::Int(-7),
+            Value::from("padding bytes"),
+            Value::OidList(vec![Oid::new(2, 1), Oid::new(2, 9), Oid::new(3, 4)]),
+            Value::Bytes(vec![5, 6, 7]),
+        ]);
+        (s, t)
+    }
+
+    #[test]
+    fn projection_matches_decode() {
+        let (s, t) = parent_like();
+        let bytes = encode(&s, &t).unwrap();
+        let p = project(&s, &bytes).unwrap();
+        assert_eq!(p.oid, Oid::new(1, 42));
+        assert_eq!(
+            p.oids.iter().collect::<Vec<_>>(),
+            t.get(3).as_oid_list().unwrap()
+        );
+        assert_eq!(p.bytes, &[5, 6, 7]);
+    }
+
+    #[test]
+    fn projection_rejects_truncation_and_missing_columns() {
+        let (s, t) = parent_like();
+        let bytes = encode(&s, &t).unwrap();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                project(&s, &bytes[..cut]),
+                Err(CodecError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        // `schema()` has no Bytes column.
+        let bytes = encode(&schema(), &tuple()).unwrap();
+        assert_eq!(project(&schema(), &bytes), Err(CodecError::SchemaMismatch));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::record::decode;
 use crate::AccessError;
 use cor_relational::{Predicate, Schema, Tuple};
 
-/// Scan `tree` (all entries, key order), decode under `schema`, and yield
+/// Scan `tree` (all entries, key order), decode under `schema`, and return
 /// the tuples satisfying `predicate`.
 ///
 /// ```
@@ -28,23 +28,18 @@ use cor_relational::{Predicate, Schema, Tuple};
 ///     person.insert(&(i as u64).to_be_bytes(), &encode(&schema, &t).unwrap()).unwrap();
 /// }
 /// // retrieve (person.all) where person.age >= 60
-/// let elders: Vec<Tuple> =
-///     scan_where(&person, &schema, &Predicate::cmp(1, CmpOp::Ge, 60))
-///         .collect::<Result<_, _>>()
-///         .unwrap();
+/// let elders = scan_where(&person, &schema, &Predicate::cmp(1, CmpOp::Ge, 60)).unwrap();
 /// assert_eq!(elders.len(), 1);
 /// assert_eq!(elders[0].get(0).as_str(), Some("Mary"));
 /// ```
-pub fn scan_where<'a>(
-    tree: &'a BTreeFile,
-    schema: &'a Schema,
-    predicate: &'a Predicate,
-) -> impl Iterator<Item = Result<Tuple, AccessError>> + 'a {
-    tree.scan_all()
-        .filter_map(move |(_, rec)| match decode(schema, &rec) {
-            Ok(tuple) => predicate.eval(&tuple).then_some(Ok(tuple)),
-            Err(e) => Some(Err(e.into())),
-        })
+pub fn scan_where(
+    tree: &BTreeFile,
+    schema: &Schema,
+    predicate: &Predicate,
+) -> Result<Vec<Tuple>, AccessError> {
+    let mut out = Vec::new();
+    for_each_where(tree, schema, predicate, |t| out.push(t))?;
+    Ok(out)
 }
 
 /// Count the tuples satisfying `predicate` (selectivity probe).
@@ -54,11 +49,23 @@ pub fn count_where(
     predicate: &Predicate,
 ) -> Result<u64, AccessError> {
     let mut n = 0;
-    for t in scan_where(tree, schema, predicate) {
-        t?;
-        n += 1;
-    }
+    for_each_where(tree, schema, predicate, |_| n += 1)?;
     Ok(n)
+}
+
+fn for_each_where(
+    tree: &BTreeFile,
+    schema: &Schema,
+    predicate: &Predicate,
+    mut f: impl FnMut(Tuple),
+) -> Result<(), AccessError> {
+    tree.scan_for_each(|_, rec| {
+        let tuple = decode(schema, rec)?;
+        if predicate.eval(&tuple) {
+            f(tuple);
+        }
+        Ok::<_, AccessError>(())
+    })
 }
 
 #[cfg(test)]
@@ -105,9 +112,7 @@ mod tests {
         assert_eq!(count_where(&tree, &schema, &both).unwrap(), 5);
         // named person
         let mary = Predicate::cmp(0, CmpOp::Eq, "Mary");
-        let got: Vec<Tuple> = scan_where(&tree, &schema, &mary)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let got = scan_where(&tree, &schema, &mary).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].get(1).as_int(), Some(62));
     }

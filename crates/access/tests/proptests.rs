@@ -1,8 +1,11 @@
-//! Property tests for the access methods: B-tree and hash file against
-//! std collection models, external sort against `sort()`, record codec
-//! round-trips.
+//! Property tests for the access methods: B-tree, its range visitor and
+//! hash file against std collection models, packed keys and external sort
+//! against `sort()`, record codec round-trips and projection.
 
-use cor_access::{decode, encode, external_sort, BTreeFile, HashFile};
+use cor_access::{
+    decode, encode, external_sort, heap_keys, pack_key, project, unpack_key, AccessError,
+    BTreeFile, HashFile, HeapFile,
+};
 use cor_pagestore::BufferPool;
 use cor_relational::{Oid, Schema, Tuple, Value, ValueType};
 use proptest::prelude::*;
@@ -15,6 +18,35 @@ fn pool(frames: usize) -> Arc<BufferPool> {
 
 fn key8(k: u64) -> Vec<u8> {
     k.to_be_bytes().to_vec()
+}
+
+/// OID-length keys of bytes drawn from `byte`.
+fn oid_key(byte: impl Strategy<Value = u8>) -> impl Strategy<Value = [u8; 10]> {
+    proptest::collection::vec(byte, 10..11).prop_map(|k| k.try_into().unwrap())
+}
+
+type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// The entries `lo..=hi`, copied out of the range visitor.
+fn range(tree: &BTreeFile, lo: u64, hi: u64, readahead: usize) -> Entries {
+    let mut out = Vec::new();
+    tree.range_for_each(&key8(lo), &key8(hi), readahead, |k, v| {
+        out.push((k.to_vec(), v.to_vec()));
+        Ok::<_, AccessError>(())
+    })
+    .unwrap();
+    out
+}
+
+/// Every entry, copied out of the scan visitor.
+fn scan(tree: &BTreeFile) -> Entries {
+    let mut out = Vec::new();
+    tree.scan_for_each(|k, v| {
+        out.push((k.to_vec(), v.to_vec()));
+        Ok::<_, AccessError>(())
+    })
+    .unwrap();
+    out
 }
 
 #[derive(Debug, Clone)]
@@ -60,9 +92,8 @@ proptest! {
                     prop_assert_eq!(tree.get(&key8(k)).unwrap(), model.get(&k).cloned());
                 }
                 TreeOp::Range(lo, hi) => {
-                    let got: Vec<(u64, Vec<u8>)> = tree
-                        .range(&key8(lo), &key8(hi))
-                        .unwrap()
+                    let got: Vec<(u64, Vec<u8>)> = range(&tree, lo, hi, 0)
+                        .into_iter()
                         .map(|(k, v)| (u64::from_be_bytes(k.try_into().unwrap()), v))
                         .collect();
                     let expect: Vec<(u64, Vec<u8>)> =
@@ -73,8 +104,8 @@ proptest! {
             prop_assert_eq!(tree.len(), model.len() as u64);
         }
         // Final full scan agrees and the structure is internally sound.
-        let scanned: Vec<u64> = tree
-            .scan_all()
+        let scanned: Vec<u64> = scan(&tree)
+            .into_iter()
             .map(|(k, _)| u64::from_be_bytes(k.try_into().unwrap()))
             .collect();
         let expect: Vec<u64> = model.keys().copied().collect();
@@ -97,9 +128,7 @@ proptest! {
             incr.insert(k, v).unwrap();
         }
         prop_assert_eq!(bulk.len(), incr.len());
-        let a: Vec<_> = bulk.scan_all().collect();
-        let b: Vec<_> = incr.scan_all().collect();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(scan(&bulk), scan(&incr));
         prop_assert!(bulk.validate().is_ok());
         prop_assert!(incr.validate().is_ok());
     }
@@ -133,23 +162,114 @@ proptest! {
         prop_assert_eq!(h.len(), model.len() as u64);
     }
 
-    /// External sort equals std sort for any records and any work-memory
-    /// budget (spilled or not), with and without dedup.
+    /// Packed order is byte-wise order on OID keys, packed dedup is
+    /// byte-wise dedup, and unpacking restores the bytes.
+    #[test]
+    fn packed_order_is_byte_order(
+        keys in proptest::collection::vec(oid_key(0u8..4), 0..200),
+    ) {
+        // A small alphabet makes equal keys and long shared prefixes common.
+        let mut by_bytes = keys.clone();
+        by_bytes.sort();
+        by_bytes.dedup();
+        let mut packed: Vec<u128> = keys.iter().map(pack_key).collect();
+        packed.sort_unstable();
+        packed.dedup();
+        let unpacked: Vec<[u8; 10]> = packed.into_iter().map(unpack_key).collect();
+        prop_assert_eq!(unpacked, by_bytes);
+    }
+
+    /// External sort of a heap file of OID keys equals std sort for any
+    /// work-memory budget (spilled or not), with and without dedup.
     #[test]
     fn external_sort_equals_std_sort(
-        records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..300),
+        records in proptest::collection::vec(oid_key(any::<u8>()), 0..300),
         work_mem in 256usize..65_536,
         dedup in any::<bool>(),
     ) {
         let p = pool(16);
-        let got: Vec<Vec<u8>> =
-            external_sort(&p, records.clone().into_iter(), work_mem, dedup).unwrap().collect();
+        let temp = HeapFile::create(Arc::clone(&p)).unwrap();
+        temp.append_all(&records).unwrap();
+        let got: Vec<[u8; 10]> = external_sort(&p, heap_keys(&temp), work_mem, dedup)
+            .unwrap()
+            .map(|k| unpack_key(k.unwrap()))
+            .collect();
         let mut expect = records;
         expect.sort();
         if dedup {
             expect.dedup();
         }
         prop_assert_eq!(got, expect);
+    }
+
+    /// The range visitor yields the model's entries `lo..=hi` and, from a
+    /// cold pool, reads the root-to-leaf path to `lo`, then each further
+    /// leaf up to and including the one that reveals a key past `hi` — for
+    /// empty ranges and bounds past either end. Readahead does not change
+    /// the entries.
+    #[test]
+    fn range_for_each_matches_model_entries_and_reads(
+        keys in proptest::collection::btree_set(0u64..3000, 0..600),
+        deleted in proptest::collection::vec(0u64..3000, 0..100),
+        bounds in proptest::collection::vec((0u64..3200, 0u64..3200), 1..8),
+    ) {
+        let p = pool(8);
+        let mut model: BTreeMap<u64, Vec<u8>> =
+            keys.iter().map(|&k| (k, vec![k as u8; 40])).collect();
+        let entries: Vec<(Vec<u8>, Vec<u8>)> =
+            model.iter().map(|(k, v)| (key8(*k), v.clone())).collect();
+        let tree = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, 0.9).unwrap();
+        for k in deleted {
+            tree.delete(&key8(k)).unwrap();
+            model.remove(&k);
+        }
+        for (lo, hi) in bounds {
+            let want: Vec<_> = if lo <= hi {
+                model.range(lo..=hi).map(|(k, v)| (key8(*k), v.clone())).collect()
+            } else {
+                Vec::new()
+            };
+            let mut leaves = vec![tree.leaf_page_of(&key8(lo)).unwrap()];
+            for &k in model.range(lo..).map(|(k, _)| k) {
+                let leaf = tree.leaf_page_of(&key8(k)).unwrap();
+                if leaves.last() != Some(&leaf) {
+                    leaves.push(leaf);
+                }
+                if k > hi {
+                    break;
+                }
+            }
+            let want_reads = u64::from(tree.height()) - 1 + leaves.len() as u64;
+
+            p.flush_and_clear().unwrap();
+            let before = p.stats().reads();
+            let got = range(&tree, lo, hi, 0);
+            prop_assert_eq!(p.stats().reads() - before, want_reads, "reads for {}..={}", lo, hi);
+            prop_assert_eq!(&got, &want, "entries for {}..={}", lo, hi);
+            prop_assert_eq!(range(&tree, lo, hi, 4), want, "readahead, {}..={}", lo, hi);
+        }
+    }
+
+    /// The projection never panics on arbitrary bytes, and agrees with a
+    /// full decode whenever that succeeds.
+    #[test]
+    fn projection_agrees_with_decode_on_any_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..120),
+    ) {
+        let schema = Schema::new(&[
+            ("o", ValueType::Oid),
+            ("i", ValueType::Int),
+            ("s", ValueType::Str),
+            ("l", ValueType::OidList),
+            ("b", ValueType::Bytes),
+        ]);
+        let projected = project(&schema, &bytes);
+        if let Ok(t) = decode(&schema, &bytes) {
+            let p = projected.unwrap();
+            prop_assert_eq!(Some(p.oid), t.get(0).as_oid());
+            prop_assert_eq!(p.oids.iter().collect::<Vec<_>>(), t.get(3).as_oid_list().unwrap());
+            prop_assert_eq!(Some(p.bytes), t.get(4).as_bytes());
+        }
     }
 
     /// Record codec round-trips arbitrary well-typed tuples.
@@ -177,6 +297,10 @@ proptest! {
             Value::Bytes(bytes),
         ]);
         let encoded = encode(&schema, &tuple).unwrap();
+        let p = project(&schema, &encoded).unwrap();
+        prop_assert_eq!(Some(p.oid), tuple.get(2).as_oid());
+        prop_assert_eq!(p.oids.iter().collect::<Vec<_>>(), tuple.get(3).as_oid_list().unwrap());
+        prop_assert_eq!(Some(p.bytes), tuple.get(4).as_bytes());
         prop_assert_eq!(decode(&schema, &encoded).unwrap(), tuple);
     }
 }

@@ -1,8 +1,12 @@
 //! Criterion microbenchmarks for the storage substrate: the operations
 //! whose I/O costs the figure reproductions are built from.
 
-use cor_access::{external_sort, BTreeFile, HashFile, HeapFile, IsamIndex, DEFAULT_FILL};
+use cor_access::{
+    external_sort, heap_keys, pack_key, AccessError, BTreeFile, HashFile, HeapFile, IsamIndex,
+    DEFAULT_FILL,
+};
 use cor_pagestore::{BufferPool, PageMut, PAGE_SIZE};
+use cor_relational::Oid;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,7 +79,15 @@ fn bench_btree(c: &mut Criterion) {
 
     g.throughput(Throughput::Elements(n));
     g.bench_function("full_scan_10k", |b| {
-        b.iter(|| black_box(tree.scan_all().count()))
+        b.iter(|| {
+            let mut n = 0u64;
+            tree.scan_for_each(|_, _| {
+                n += 1;
+                Ok::<_, AccessError>(())
+            })
+            .unwrap();
+            black_box(n)
+        })
     });
 
     g.throughput(Throughput::Elements(1000));
@@ -140,10 +152,10 @@ fn bench_isam(c: &mut Criterion) {
 
 fn bench_sort(c: &mut Criterion) {
     let mut g = c.benchmark_group("external_sort");
-    let records: Vec<Vec<u8>> = {
+    let records: Vec<u128> = {
         let mut rng = StdRng::seed_from_u64(8);
         (0..20_000)
-            .map(|_| rng.random_range(0..u64::MAX).to_be_bytes().to_vec())
+            .map(|_| pack_key(&Oid::new(1, rng.random_range(0..u64::MAX)).to_key_bytes()))
             .collect()
     };
     g.throughput(Throughput::Elements(records.len() as u64));
@@ -151,7 +163,7 @@ fn bench_sort(c: &mut Criterion) {
         let p = pool(64);
         b.iter(|| {
             black_box(
-                external_sort(&p, records.clone().into_iter(), usize::MAX, false)
+                external_sort(&p, records.iter().copied().map(Ok), usize::MAX, false)
                     .unwrap()
                     .count(),
             )
@@ -161,7 +173,7 @@ fn bench_sort(c: &mut Criterion) {
         let p = pool(64);
         b.iter(|| {
             black_box(
-                external_sort(&p, records.clone().into_iter(), 8 * 1024, false)
+                external_sort(&p, records.iter().copied().map(Ok), 8 * 1024, false)
                     .unwrap()
                     .count(),
             )
@@ -186,10 +198,13 @@ fn bench_heap(c: &mut Criterion) {
         )
     });
     let heap = HeapFile::create(pool(64)).unwrap();
-    for i in 0..5000u32 {
-        heap.append(&i.to_le_bytes()).unwrap();
-    }
-    g.bench_function("scan_5k", |b| b.iter(|| black_box(heap.scan().count())));
+    let oids: Vec<_> = (0..5000u64)
+        .map(|i| Oid::new(1, i).to_key_bytes())
+        .collect();
+    heap.append_all(&oids).unwrap();
+    g.bench_function("scan_5k", |b| {
+        b.iter(|| black_box(heap_keys(&heap).count()))
+    });
     g.finish();
 }
 

@@ -20,7 +20,9 @@ use crate::cache::{
 use crate::cluster::ClusterAssignment;
 use crate::matrix::CachePlacement;
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, IsamIndex, DEFAULT_FILL};
+use cor_access::{
+    decode, encode, project, AccessError, BTreeFile, CodecError, IsamIndex, DEFAULT_FILL,
+};
 use cor_pagestore::BufferPool;
 use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
 use parking_lot::{Mutex, MutexGuard};
@@ -620,19 +622,17 @@ impl CorDatabase {
         let lo_k = Oid::new(PARENT_REL, lo).to_key_bytes();
         let hi_k = Oid::new(PARENT_REL, hi).to_key_bytes();
         let mut out = Vec::new();
-        for (_, rec) in parent.range(&lo_k, &hi_k)? {
-            let t = decode(&self.parent_schema, &rec)?;
-            let key = t.get(0).as_oid().expect("parent oid column").key;
-            let children = t.get(5).as_oid_list().expect("children column").to_vec();
-            let cached_bytes = t.get(6).as_bytes().expect("cached column");
-            let cached = if cached_bytes.is_empty() {
+        parent.range_for_each(&lo_k, &hi_k, 0, |_, rec| {
+            let p = project(&self.parent_schema, rec)?;
+            let cached = if p.bytes.is_empty() {
                 None
             } else {
-                Some(decode_unit_value(cached_bytes).expect("inside-cached payload decodes"))
+                Some(decode_unit_value(p.bytes).ok_or(CodecError::Truncated)?)
             };
-            cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
-            out.push((key, children, cached));
-        }
+            cor_obs::heat::touch(cor_obs::HeatClass::Parent, p.oid.key);
+            out.push((p.oid.key, p.oids.iter().collect(), cached));
+            Ok::<_, AccessError>(())
+        })?;
         Ok(out)
     }
 
@@ -745,31 +745,30 @@ impl CorDatabase {
             Storage::Standard { parent, .. } => {
                 let lo_k = Oid::new(PARENT_REL, lo).to_key_bytes();
                 let hi_k = Oid::new(PARENT_REL, hi).to_key_bytes();
-                for (_, rec) in parent.range(&lo_k, &hi_k)? {
-                    let t = decode(&self.parent_schema, &rec)?;
-                    let key = t.get(0).as_oid().expect("parent oid column").key;
-                    let children = t.get(5).as_oid_list().expect("children column").to_vec();
-                    cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
-                    out.push((key, children));
-                }
+                parent.range_for_each(&lo_k, &hi_k, 0, |_, rec| self.push_parent(rec, &mut out))?;
             }
             Storage::Clustered { cluster, .. } => {
                 let lo_k = cluster_key(lo, false, Oid::new(0, 0));
                 let hi_k = cluster_key(hi, true, Oid::new(u16::MAX, u64::MAX));
-                for (k, rec) in cluster.range(&lo_k, &hi_k)? {
-                    let (_, is_child, _) = decode_cluster_key(&k).expect("cluster key");
+                cluster.range_for_each(&lo_k, &hi_k, 0, |k, rec| {
+                    let (_, is_child, _) =
+                        decode_cluster_key(k).ok_or(AccessError::BadKeyLen(k.len()))?;
                     if is_child {
-                        continue;
+                        return Ok(());
                     }
-                    let t = decode(&self.parent_schema, &rec)?;
-                    let key = t.get(0).as_oid().expect("parent oid column").key;
-                    let children = t.get(5).as_oid_list().expect("children column").to_vec();
-                    cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
-                    out.push((key, children));
-                }
+                    self.push_parent(rec, &mut out)
+                })?;
             }
         }
         Ok(out)
+    }
+
+    /// Append the `(key, children)` of the ParentRel record `rec` to `out`.
+    fn push_parent(&self, rec: &[u8], out: &mut Vec<(u64, Vec<Oid>)>) -> Result<(), AccessError> {
+        let p = project(&self.parent_schema, rec)?;
+        cor_obs::heat::touch(cor_obs::HeatClass::Parent, p.oid.key);
+        out.push((p.oid.key, p.oids.iter().collect()));
+        Ok(())
     }
 
     /// Fetch a subobject record by OID. On the standard representation this

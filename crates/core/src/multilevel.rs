@@ -23,7 +23,7 @@ use crate::database::{CorDatabase, PARENT_REL};
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::strategies::{self, ExecOptions};
 use crate::{CorError, Strategy};
-use cor_access::{external_sort, HeapFile};
+use cor_access::{project, sort_temp, unpack_key, HeapFile};
 use cor_relational::Oid;
 use std::sync::Arc;
 
@@ -153,45 +153,28 @@ pub fn bfs_multilevel(
         // single-level BFS, where duplicate elimination directly removes
         // probes).
         let next = &levels[level + 1];
-        let temp = HeapFile::create(Arc::clone(next.pool()))?;
         let records: Vec<_> = frontier
             .drain(..)
             .map(|oid| Oid::new(PARENT_REL, oid.key).to_key_bytes())
             .collect();
-        temp.append_all(&records)?;
-        temp.flush()?;
-        let sorted = external_sort(
-            next.pool(),
-            temp.scan().map(|(_, rec)| rec),
-            opts.sort_work_mem,
-            dedup,
-        )?;
         let tree = next.parent_tree()?;
-        let schema = next.parent_schema().clone();
+        let schema = next.parent_schema();
+        let temp = HeapFile::materialize(Arc::clone(next.pool()), &records)?;
         let n = temp.len();
         let iter_cost = tree.height() as u64 + n.saturating_sub(1);
         let merge_cost = tree.leaf_pages() as u64 + temp.num_pages() as u64;
-        temp.destroy()?;
+        let sorted = sort_temp(temp, opts.sort_work_mem, dedup)?;
         let collect = |rec: &[u8], frontier: &mut Vec<Oid>| -> Result<(), CorError> {
-            let t = cor_access::decode(&schema, rec)?;
-            let children = t.get(5).as_oid_list().expect("children column");
-            frontier.extend_from_slice(children);
+            frontier.extend(project(schema, rec)?.oids.iter());
             Ok(())
         };
         if merge_cost < iter_cost {
-            let mut failed = None;
-            tree.merge_lookup(sorted, 0, |rec| {
-                if failed.is_none() {
-                    failed = collect(rec, &mut frontier).err();
-                }
-            })?;
-            if let Some(e) = failed {
-                return Err(e);
-            }
+            tree.merge_lookup(sorted, 0, |rec| collect(rec, &mut frontier))?;
         } else {
             for key in sorted {
-                let rec = tree.get(&key)?.ok_or_else(|| {
-                    CorError::DanglingOid(Oid::from_key_bytes(&key).expect("oid key"))
+                let k = unpack_key(key?);
+                let rec = tree.get(&k)?.ok_or_else(|| {
+                    CorError::DanglingOid(Oid::from_key_bytes(&k).expect("oid key"))
                 })?;
                 collect(&rec, &mut frontier)?;
             }

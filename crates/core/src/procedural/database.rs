@@ -14,7 +14,7 @@ use crate::procedural::pcache::ProcCache;
 use crate::procedural::predicate::StoredQuery;
 use crate::query::extract_ret;
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, DEFAULT_FILL};
+use cor_access::{decode, encode, AccessError, BTreeFile, DEFAULT_FILL};
 use cor_pagestore::BufferPool;
 use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
 use parking_lot::{Mutex, MutexGuard};
@@ -294,8 +294,8 @@ impl ProcDatabase {
         let lo_k = Oid::new(PROC_PARENT_REL, lo).to_key_bytes();
         let hi_k = Oid::new(PROC_PARENT_REL, hi).to_key_bytes();
         let mut out = Vec::new();
-        for (_, rec) in self.parent.range(&lo_k, &hi_k)? {
-            let t = decode(&self.parent_schema, &rec)?;
+        self.parent.range_for_each(&lo_k, &hi_k, 0, |_, rec| {
+            let t = decode(&self.parent_schema, rec)?;
             let key = t.get(0).as_oid().expect("oid column").key;
             let text = t.get(5).as_str().expect("members column");
             let members = StoredQuery::parse_quel(text)
@@ -311,7 +311,8 @@ impl ProcDatabase {
                 members,
                 cached,
             });
-        }
+            Ok::<_, AccessError>(())
+        })?;
         Ok(out)
     }
 
@@ -322,28 +323,29 @@ impl ProcDatabase {
     /// representations.
     pub fn execute_stored(&self, q: &StoredQuery) -> Result<Vec<(Oid, Vec<u8>)>, CorError> {
         let tree = self.child_tree(q.relation())?;
+        let mut out = Vec::new();
         match q {
             StoredQuery::KeyRange { rel, lo, hi } => {
                 let lo_k = Oid::new(*rel, *lo).to_key_bytes();
                 let hi_k = Oid::new(*rel, *hi).to_key_bytes();
-                Ok(tree
-                    .range(&lo_k, &hi_k)?
-                    .map(|(k, rec)| (Oid::from_key_bytes(&k).expect("oid key"), rec))
-                    .collect())
+                tree.range_for_each(&lo_k, &hi_k, 0, |k, rec| {
+                    out.push((Oid::from_key_bytes(k).expect("oid key"), rec.to_vec()));
+                    Ok::<_, AccessError>(())
+                })?;
             }
             StoredQuery::RetRange {
                 ret_idx, lo, hi, ..
             } => {
-                let mut out = Vec::new();
-                for (k, rec) in tree.scan_all() {
-                    let v = extract_ret(&rec, crate::query::RetAttr::ALL[*ret_idx]);
+                tree.scan_for_each(|k, rec| {
+                    let v = extract_ret(rec, crate::query::RetAttr::ALL[*ret_idx]);
                     if (*lo..=*hi).contains(&v) {
-                        out.push((Oid::from_key_bytes(&k).expect("oid key"), rec));
+                        out.push((Oid::from_key_bytes(k).expect("oid key"), rec.to_vec()));
                     }
-                }
-                Ok(out)
+                    Ok::<_, AccessError>(())
+                })?;
             }
         }
+        Ok(out)
     }
 
     /// Store an inside-cached result into parent `key`'s tuple (an I/O

@@ -21,10 +21,10 @@ use super::{ExecOptions, JoinChoice};
 use crate::database::CorDatabase;
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::CorError;
-use cor_access::{external_sort, BTreeFile, HeapFile};
+use cor_access::{heap_keys, sort_mem, sort_temp, unpack_key, AccessError, BTreeFile, HeapFile};
 use cor_obs::{Phase, PhaseGuard};
 use cor_pagestore::PAGE_SIZE;
-use cor_relational::{Oid, RelId};
+use cor_relational::{Oid, RelId, OID_BYTES};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -83,11 +83,8 @@ pub(crate) fn join_fetch(
     // materialize it — the paper charges BFS for temp formation.
     let temp = {
         let _phase = PhaseGuard::enter(Phase::TempBuild);
-        let temp = HeapFile::create(Arc::clone(db.pool()))?;
         let records: Vec<_> = oids.iter().map(Oid::to_key_bytes).collect();
-        temp.append_all(&records)?;
-        temp.flush()?;
-        temp
+        HeapFile::materialize(Arc::clone(db.pool()), &records)?
     };
 
     let use_merge = match opts.join {
@@ -102,17 +99,11 @@ pub(crate) fn join_fetch(
     if use_merge {
         // Reading the temp back and sorting it is sort work; run spills
         // re-assert their own Sort bracket inside. The sort consumes the
-        // whole temp before returning, so its pages can go right away.
+        // whole temp before returning, so its pages go right away.
         let sorted = {
             let _phase = PhaseGuard::enter(Phase::Sort);
-            external_sort(
-                db.pool(),
-                temp.scan().map(|(_, rec)| rec),
-                opts.sort_work_mem,
-                dedup,
-            )?
+            sort_temp(temp, opts.sort_work_mem, dedup)?
         };
-        temp.destroy()?;
         // The co-scan of the OID-ordered ChildRel leaves is the join
         // proper (sort-stream pulls retag themselves as Sort). With
         // readahead enabled the merge-run leaf pages are prefetched in
@@ -120,73 +111,62 @@ pub(crate) fn join_fetch(
         let _phase = PhaseGuard::enter(Phase::MergeJoin);
         tree.merge_lookup(sorted, opts.io.readahead, |rec| {
             values.push(extract_ret(rec, attr));
+            Ok::<_, AccessError>(())
         })?;
-    } else {
+    } else if dedup {
         // Iterative substitution: probe per temp record, "fetched exactly
         // as in DFS" — so leave the probes to the index-level default
         // tags. BFSNODUP still dedups first.
-        if dedup {
-            let keys = {
-                let _phase = PhaseGuard::enter(Phase::Sort);
-                external_sort(
-                    db.pool(),
-                    temp.scan().map(|(_, rec)| rec),
-                    opts.sort_work_mem,
-                    true,
-                )?
-            };
-            temp.destroy()?;
-            probe_all(tree, keys, attr, opts, values)?;
-        } else {
-            probe_all(tree, temp.scan().map(|(_, key)| key), attr, opts, values)?;
-            temp.destroy()?;
-        }
+        let keys = {
+            let _phase = PhaseGuard::enter(Phase::Sort);
+            sort_temp(temp, opts.sort_work_mem, true)?
+        };
+        probe_all(tree, keys, attr, opts, values)?;
+    } else {
+        // The probes read the temp as they go; it goes once they are done,
+        // whether or not they succeed.
+        let probed = probe_all(tree, heap_keys(&temp), attr, opts, values);
+        temp.destroy()?;
+        probed?;
     }
     Ok(())
 }
 
-/// Probe the index once per key, in key arrival order. With batching
-/// enabled the keys are probed through the B-tree's sorted-batch lookup
-/// in windows of `opts.io.batch` — one inner-node descent per leaf run
-/// and one coalesced read per run of adjacent leaves — instead of one
+/// Probe the index once per packed OID key, in key arrival order. With
+/// batching enabled the keys are probed through the B-tree's sorted-batch
+/// lookup in windows of `opts.io.batch` — one inner-node descent per leaf
+/// run and one coalesced read per run of adjacent leaves — instead of one
 /// root-to-leaf descent each. Values come back in the same order either
 /// way.
 fn probe_all(
     tree: &BTreeFile,
-    keys: impl Iterator<Item = Vec<u8>>,
+    keys: impl Iterator<Item = Result<u128, AccessError>>,
     attr: RetAttr,
     opts: &ExecOptions,
     values: &mut Vec<i64>,
 ) -> Result<(), CorError> {
+    let keys = keys.map(|k| k.map(unpack_key));
     if opts.io.batch <= 1 {
         for key in keys {
-            probe_one(tree, &key, attr, values)?;
+            let key = key?;
+            let rec = tree.get(&key)?.ok_or_else(|| dangling(&key))?;
+            values.push(extract_ret(&rec, attr));
         }
         return Ok(());
     }
-    let keys: Vec<Vec<u8>> = keys.collect();
+    let keys: Vec<[u8; OID_BYTES]> = keys.collect::<Result<_, _>>()?;
     for window in keys.chunks(opts.io.batch) {
-        let refs: Vec<&[u8]> = window.iter().map(Vec::as_slice).collect();
+        let refs: Vec<&[u8]> = window.iter().map(|k| &k[..]).collect();
         for (key, rec) in window.iter().zip(tree.get_many(&refs)?) {
-            let rec = rec
-                .ok_or_else(|| CorError::DanglingOid(Oid::from_key_bytes(key).expect("oid key")))?;
+            let rec = rec.ok_or_else(|| dangling(key))?;
             values.push(extract_ret(&rec, attr));
         }
     }
     Ok(())
 }
 
-fn probe_one(
-    tree: &BTreeFile,
-    key: &[u8],
-    attr: RetAttr,
-    values: &mut Vec<i64>,
-) -> Result<(), CorError> {
-    let rec = tree
-        .get(key)?
-        .ok_or_else(|| CorError::DanglingOid(Oid::from_key_bytes(key).expect("oid key")))?;
-    values.push(extract_ret(&rec, attr));
-    Ok(())
+fn dangling(key: &[u8; OID_BYTES]) -> CorError {
+    CorError::DanglingOid(Oid::from_key_bytes(key).expect("an OID_BYTES-long key"))
 }
 
 /// Estimated I/O of joining `n` collected OIDs against ChildRel `rel`
@@ -202,7 +182,7 @@ pub(crate) fn estimate_join_cost(
         return Ok(0);
     }
     let tree = db.child_tree(rel)?;
-    let temp_pages = ((n * cor_relational::OID_BYTES) / PAGE_SIZE + 1) as u32;
+    let temp_pages = ((n * OID_BYTES) / PAGE_SIZE + 1) as u32;
     Ok(
         estimate_iterative_cost(n, tree).min(estimate_merge_cost(n, temp_pages, tree, opts))
             + temp_pages as u64,
@@ -219,7 +199,7 @@ fn estimate_iterative_cost(n: usize, tree: &BTreeFile) -> u64 {
 /// Estimated I/O for the merge join: scan every ChildRel leaf, plus spill
 /// I/O if the temporary exceeds sort work memory.
 fn estimate_merge_cost(n: usize, temp_pages: u32, tree: &BTreeFile, opts: &ExecOptions) -> u64 {
-    let sort_bytes = n * (cor_relational::OID_BYTES + 16);
+    let sort_bytes = sort_mem(n);
     let spill = if sort_bytes <= opts.sort_work_mem {
         0
     } else {

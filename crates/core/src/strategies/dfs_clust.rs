@@ -17,7 +17,7 @@ use super::ExecOptions;
 use crate::database::{cluster_key, decode_cluster_key, CorDatabase};
 use crate::query::{extract_ret, RetrieveQuery, StrategyOutput};
 use crate::CorError;
-use cor_access::decode;
+use cor_access::{project, AccessError};
 use cor_obs::{Phase, PhaseGuard};
 use cor_relational::Oid;
 use std::collections::HashMap;
@@ -43,20 +43,17 @@ pub fn dfs_clust(
     // bulk-loaded leaf chain is prefetched in coalesced batches ahead of
     // the scan cursor.
     let _scan_phase = PhaseGuard::enter(Phase::ClusterScan);
-    for (k, rec) in cluster
-        .range(&lo_k, &hi_k)?
-        .with_readahead(opts.io.readahead)
-    {
-        let (_, is_child, oid) = decode_cluster_key(&k).expect("well-formed cluster key");
+    cluster.range_for_each(&lo_k, &hi_k, opts.io.readahead, |k, rec| {
+        let (_, is_child, oid) = decode_cluster_key(k).ok_or(AccessError::BadKeyLen(k.len()))?;
         if is_child {
-            scanned_children.insert(oid, rec);
+            scanned_children.insert(oid, rec.to_vec());
         } else {
-            let t = decode(db.parent_schema(), &rec)?;
-            let children = t.get(5).as_oid_list().expect("children column").to_vec();
+            let children = project(db.parent_schema(), rec)?.oids.iter().collect();
             cor_obs::heat::touch(cor_obs::HeatClass::ClusterRoot, oid.key);
             parents.push((oid.key, children));
         }
-    }
+        Ok::<_, AccessError>(())
+    })?;
     let s1 = stats.snapshot();
 
     // Foreign-cluster probes are the random-access tail that dominates

@@ -18,7 +18,7 @@ use crate::cache::{decode_unit_value, encode_unit_value};
 use crate::database::{DatabaseSpec, SubobjectSpec};
 use crate::query::{extract_ret, RetrieveQuery, StrategyOutput, UpdateQuery};
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, DEFAULT_FILL};
+use cor_access::{decode, encode, AccessError, BTreeFile, DEFAULT_FILL};
 use cor_pagestore::{BufferPool, IoDelta};
 use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
 use std::collections::HashMap;
@@ -129,13 +129,14 @@ impl ValueDatabase {
         let lo_k = Oid::new(VALUE_PARENT_REL, query.lo).to_key_bytes();
         let hi_k = Oid::new(VALUE_PARENT_REL, query.hi).to_key_bytes();
         let mut values = Vec::new();
-        for (_, rec) in self.parent.range(&lo_k, &hi_k)? {
-            let t = decode(&self.parent_schema, &rec)?;
+        self.parent.range_for_each(&lo_k, &hi_k, 0, |_, rec| {
+            let t = decode(&self.parent_schema, rec)?;
             let members = t.get(5).as_bytes().expect("members column");
             for child_rec in decode_unit_value(members).expect("inlined records decode") {
                 values.push(extract_ret(&child_rec, query.attr));
             }
-        }
+            Ok::<_, AccessError>(())
+        })?;
         let s1 = stats.snapshot();
         // All I/O is object access: the subobjects travel with the object.
         Ok(StrategyOutput {

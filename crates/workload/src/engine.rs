@@ -1852,6 +1852,85 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A page read that fails anywhere in a BFS retrieve (a parent leaf,
+    /// the temp, a spilled run page, a ChildRel leaf) is returned as an
+    /// error, and the engine answers the next retrieve correctly.
+    #[test]
+    fn failed_reads_during_bfs_are_errors_not_panics() {
+        use complexobj::JoinChoice;
+        use cor_access::{AccessError, DEFAULT_WORK_MEM};
+        use cor_obs::Phase;
+        use cor_pagestore::{FaultMode, FaultyDisk, MemDisk};
+
+        let p = tiny();
+        let generated = generate(&p);
+        let q = RetrieveQuery {
+            lo: 0,
+            hi: p.parent_card - 1,
+            attr: RetAttr::Ret1,
+        };
+        // (sort work memory, a phase whose disk reads the sweep must fail)
+        for (work_mem, phase) in [(DEFAULT_WORK_MEM, Phase::HeapFetch), (4096, Phase::Sort)] {
+            let faulty = Arc::new(FaultyDisk::new(MemDisk::new()));
+            let pool = Arc::new(
+                BufferPool::builder()
+                    .capacity(p.buffer_pages)
+                    .disk(Box::new(Arc::clone(&faulty)))
+                    .build(),
+            );
+            let profile = pool.stats().enable_profile();
+            let db =
+                build_for_strategy_on(Arc::clone(&pool), &p, &generated, Strategy::Bfs).unwrap();
+            let opts = ExecOptions {
+                join: JoinChoice::ForceMerge,
+                sort_work_mem: work_mem,
+                ..ExecOptions::default()
+            };
+            let engine = Engine::builder().exec_options(opts).wrap_database(db);
+
+            // Pages a retrieve leaves in the store once its dirty frames
+            // are written back: none with an in-memory sort (the temp is
+            // destroyed), the spilled runs otherwise.
+            let live = || {
+                pool.flush_and_clear().unwrap();
+                faulty.inner().live_pages()
+            };
+            let live0 = live();
+            let (reads0, phases0) = (pool.stats().reads(), profile.snapshot());
+            let want = engine.retrieve(Strategy::Bfs, &q).unwrap().values;
+            let reads = pool.stats().reads() - reads0;
+            let phase_reads = profile.snapshot().since(&phases0).reads_of(phase);
+            assert!(
+                phase_reads > 0,
+                "work_mem {work_mem}: no {phase:?} reads to fail"
+            );
+            let left_by_success = live() - live0;
+            assert_eq!(
+                left_by_success == 0,
+                work_mem == DEFAULT_WORK_MEM,
+                "work_mem {work_mem}: {left_by_success} pages left"
+            );
+
+            for nth in 1..=reads {
+                let before = live();
+                faulty.arm(nth, FaultMode::ShortRead);
+                let err = engine.retrieve(Strategy::Bfs, &q).unwrap_err();
+                assert!(
+                    matches!(err, CorError::Access(AccessError::Buffer(_))),
+                    "work_mem {work_mem}, read {nth}: {err}"
+                );
+                let left = live() - before;
+                assert!(
+                    left <= left_by_success,
+                    "work_mem {work_mem}, read {nth}: a failed retrieve left {left} pages"
+                );
+                let again = engine.retrieve(Strategy::Bfs, &q).unwrap();
+                assert_eq!(again.values, want, "work_mem {work_mem}, after read {nth}");
+            }
+            assert_eq!(faulty.faults_fired(), reads);
+        }
+    }
+
     #[test]
     fn levels_engine_answers_multidot() {
         use crate::hierarchy::{generate_hierarchy_specs, HierarchyParams};

@@ -305,7 +305,7 @@ pub fn measure_geometry(db: &CorDatabase, w: &Workload) -> Geometry {
         g.cluster_height = cluster.height() as f64;
         g.cluster_leaf_pages = cluster.leaf_pages() as f64;
     }
-    g.sort_record_bytes = (cor_relational::OID_BYTES + 16) as f64;
+    g.sort_record_bytes = cor_access::sort_mem(1) as f64;
     g.temp_records_per_page = (PAGE_SIZE / (cor_relational::OID_BYTES + 7)) as f64;
     g
 }

@@ -104,8 +104,9 @@ fn main() {
         // retrieve (person.name, person.age) where person.age >= 60
         let is_elder = Predicate::cmp(2, CmpOp::Ge, 60);
         let elders: Vec<(String, i64)> = scan_where(&person, &schema, &is_elder)
+            .expect("scan")
+            .into_iter()
             .map(|t| {
-                let t = t.expect("decode");
                 (
                     t.get(1).as_str().expect("name").to_string(),
                     t.get(2).as_int().expect("age"),

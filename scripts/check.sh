@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+# perfbench/ is a workspace of its own, so `--workspace` above never builds
+# it: an access-layer API change could break the benchmark with every other
+# gate green.
+echo "==> perfbench tests (the benchmark builds against this tree)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> corstat smoke (observability gate)"
 cargo run -q -p cor-bench --bin corstat -- --smoke
 
